@@ -7,7 +7,7 @@ component fraction, and the subcritical logarithmic growth constant.
 
 __version__ = "0.1.0"
 
-from .branching import estimate_survival, mean_offspring_check, simulate_progeny
+from .branching import estimate_survival, simulate_progeny
 from .distributions import (
     ClusterSizeDistribution,
     exact_d1,
@@ -67,7 +67,7 @@ __all__ = [
     "CRITICAL_BAND", "c_critical", "p_critical_d1", "phase_of", "solve_beta",
     "solve_alpha", "solve_A_z", "rho_of_type", "beta_derivative_at_cr",
     "critical_mean_degree_d1", "theory_point", "TheoryPoint",
-    "simulate_progeny", "estimate_survival", "mean_offspring_check",
+    "simulate_progeny", "estimate_survival",
     "ExperimentConfig", "load_config", "run_cell", "sweep",
     "subcritical_scaling", "concentration_check", "estimate_cluster_law",
     "evaluate_checks", "run_experiment",

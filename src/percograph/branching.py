@@ -20,7 +20,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import DomainError
-from .rng import STREAM_BRANCHING, derive_seed, generator
+from .rng import STREAM_BRANCHING, generator
 
 __all__ = [
     "TypeSampler",
@@ -28,8 +28,6 @@ __all__ = [
     "simulate_progeny",
     "SurvivalEstimate",
     "estimate_survival",
-    "MeanOffspringCheck",
-    "mean_offspring_check",
 ]
 
 # mass allowed beyond the truncated child-type table
@@ -154,29 +152,3 @@ def estimate_survival(k, c, dist, reps=10_000, seed=0, max_particles=1_000_000,
         ambiguous_frac=ambiguous / reps,
         max_particles=int(max_particles), max_generations=int(max_generations),
     )
-
-
-@dataclass(frozen=True)
-class MeanOffspringCheck:
-    mean: float
-    expected: float
-    se: float
-    ok: bool
-
-
-def mean_offspring_check(x, c, dist, reps=100_000, seed=0):
-    """First-generation sanity check: the offspring count of a type-x
-    particle averages c * x.
-
-    The count law is Poisson(c x) regardless of the type law, so ``dist``
-    only vouches for the interface; the check draws through the same
-    stream the simulator uses.
-    """
-    TypeSampler(dist)              # validate the law is usable
-    rng = generator(seed, STREAM_BRANCHING, derive_seed(int(x)))
-    counts = rng.poisson(float(c) * int(x), size=int(reps))
-    mean = float(counts.mean())
-    se = float(counts.std(ddof=1) / np.sqrt(reps))
-    expected = float(c) * int(x)
-    return MeanOffspringCheck(mean=mean, expected=expected, se=se,
-                              ok=abs(mean - expected) <= 3.0 * se)

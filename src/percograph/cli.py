@@ -8,6 +8,7 @@ invocation produce byte-identical output.
 """
 
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -20,15 +21,7 @@ from .errors import CheckFailure, ConfigError, DomainError
 from .fileio import dump_json, fmt, write_csv
 from .lattice import build_geometry, cluster_census, sample_percolation
 from .merged import build_macro_graph, overlay_long_range, verify_correspondence
-from .theory import theory_point, write_points_csv
-
-
-def _default_threads():
-    env = os.environ.get("PERCOGRAPH_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+from .theory import THEORY_COLUMNS, theory_point
 
 
 def _add_output_args(sub):
@@ -59,24 +52,21 @@ def _resolve_dist(args):
 
 
 def _emit(args, invocation, schema, columns, rows):
+    text = io.StringIO()
     if args.format == "json":
         payload = {
             "schema": schema,
             "invocation": invocation,
             "rows": [dict(zip(columns, row)) for row in rows],
         }
-        text_io = io.StringIO()
-        dump_json(payload, text_io)
-        text = text_io.getvalue()
+        dump_json(payload, text)
     else:
-        text_io = io.StringIO()
-        write_csv(text_io, schema, columns, rows, invocation)
-        text = text_io.getvalue()
+        write_csv(text, schema, columns, rows, invocation)
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            fh.write(text.getvalue())
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text.getvalue())
 
 
 def _cmd_percolate(args, invocation):
@@ -109,23 +99,8 @@ def _cmd_theory(args, invocation):
     dist = _resolve_dist(args)
     p_meta = args.p if args.d1_exact else (0.0 if args.p0 else None)
     points = [theory_point(dist, c, p=p_meta, tol=args.tol) for c in args.c]
-    if args.format == "json":
-        rows = [pt.as_dict() for pt in points]
-        payload = {"schema": "theory-points", "invocation": invocation, "rows": rows}
-        text_io = io.StringIO()
-        dump_json(payload, text_io)
-        text = text_io.getvalue()
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        if args.output:
-            with open(args.output, "w") as fh:
-                write_points_csv(points, fh, invocation)
-        else:
-            write_points_csv(points, sys.stdout, invocation)
+    rows = [[getattr(pt, col) for col in THEORY_COLUMNS] for pt in points]
+    _emit(args, invocation, "theory-points", THEORY_COLUMNS, rows)
     return 0
 
 
@@ -154,35 +129,30 @@ def _report_checks(results):
 
 
 def _cmd_experiment(args, invocation):
-    config = experiments.load_config(args.config)
-    if args.threads is not None:
-        config = experiments.ExperimentConfig(
-            **{**vars(config), "threads": args.threads})
+    """Run a config (`experiment`, or `check` on the bundled one), write
+    its outputs and report its checks."""
+    source = args.config
+    if source is None:
+        ref = resources.files("percograph.configs").joinpath("acceptance_d1.json")
+        source = json.loads(ref.read_text())
+    config = experiments.load_config(source)
+    # --threads, else PERCOGRAPH_THREADS, else the config's value
+    threads = args.threads
+    if threads is None and "PERCOGRAPH_THREADS" in os.environ:
+        try:
+            threads = int(os.environ["PERCOGRAPH_THREADS"])
+        except ValueError:
+            threads = 1
+    if threads is not None:
+        config = dataclasses.replace(config, threads=max(1, threads))
     result, checks = experiments.run_experiment(
         config, out_dir=args.out_dir, check=args.check, invocation=invocation)
-    if args.out_dir is None:
-        write_stream = sys.stdout
-        experiments.write_summary_csv(result.cells, write_stream,
+    if args.command == "experiment" and args.out_dir is None:
+        experiments.write_summary_csv(result.cells, sys.stdout,
                                       config.giant_threshold, invocation)
-    if args.check:
-        if not _report_checks(checks):
-            return 1
+    if args.check and not _report_checks(checks):
+        return 1
     return 0
-
-
-def _cmd_check(args, invocation):
-    if args.config:
-        config = experiments.load_config(args.config)
-    else:
-        ref = resources.files("percograph.configs").joinpath("acceptance_d1.json")
-        config = experiments.load_config(json.loads(ref.read_text()))
-    if args.threads is not None:
-        config = experiments.ExperimentConfig(
-            **{**vars(config), "threads": args.threads})
-    result, _ = experiments.run_experiment(config, check=False,
-                                           invocation=invocation)
-    checks, _ = experiments.evaluate_checks(result.cells, config.checks)
-    return 0 if _report_checks(checks) else 1
 
 
 def build_parser():
@@ -247,7 +217,7 @@ def build_parser():
     sub = subs.add_parser("check", help="run the bundled acceptance config")
     sub.add_argument("--config", default=None)
     sub.add_argument("--threads", type=int, default=None)
-    sub.set_defaults(func=_cmd_check)
+    sub.set_defaults(func=_cmd_experiment, out_dir=None, check=True)
 
     return parser
 
@@ -256,20 +226,13 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        env = os.environ.get("PERCOGRAPH_THREADS")
-        if env is not None:
-            args.threads = _default_threads()
     invocation = "percograph " + " ".join(argv)
     try:
         return args.func(args, invocation)
     except CheckFailure as exc:
         print(f"FAIL {exc}", file=sys.stderr)
         return 1
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

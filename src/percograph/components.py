@@ -1,20 +1,62 @@
-"""Connected-component labelling for sparse edge lists.
+"""Connected-component partitions of sparse edge lists.
 
-The partition contract used everywhere in the package: every vertex maps
-to a cluster id, and the id is the smallest vertex index contained in the
-cluster.  That makes labels deterministic, independent of edge order, and
-directly comparable between runs.
+The partition contract used everywhere in the package: components are
+numbered 0, 1, ... in ascending order of their smallest vertex, and the
+canonical label of a vertex is the smallest vertex index in its
+component.  That makes labels deterministic, independent of edge order,
+and directly comparable between runs.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-__all__ = ["component_labels", "label_sizes"]
+__all__ = ["Partition", "component_labels"]
+
+
+@dataclass(frozen=True)
+class Partition:
+    """A vertex partition in canonical order.
+
+    Attributes
+    ----------
+    index : ndarray of int64, shape (n_vertices,)
+        ``index[x]`` is the compact id of the component of ``x``.
+    sizes : ndarray of int64
+        ``sizes[i]`` is the number of vertices in component ``i``.
+    first : ndarray of int64
+        ``first[i]`` is the smallest vertex of component ``i``; ascending.
+    """
+
+    index: np.ndarray = field(repr=False)
+    sizes: np.ndarray = field(repr=False)
+    first: np.ndarray = field(repr=False)
+
+    @classmethod
+    def from_index(cls, index):
+        """Partition from compact ids that number components in order of
+        their smallest vertex, so that their running maximum starts at 0
+        and steps by at most 1.  Any other numbering raises instead of
+        being relabelled."""
+        index = np.asarray(index, dtype=np.int64)
+        steps = np.diff(np.maximum.accumulate(index), prepend=-1)
+        if np.any(steps > 1):
+            raise RuntimeError(
+                "component ids are not numbered in order of each "
+                "component's smallest vertex")
+        return cls(index=index, sizes=np.bincount(index),
+                   first=np.flatnonzero(steps))
+
+    @property
+    def labels(self):
+        """``labels[x]``: the smallest vertex index in the component of x."""
+        return self.first[self.index]
 
 
 def component_labels(n_vertices, u, v):
-    """Canonical cluster ids for the graph on ``n_vertices`` with edges (u, v).
+    """Component partition of the graph on ``n_vertices`` with edges (u, v).
 
     Parameters
     ----------
@@ -26,36 +68,15 @@ def component_labels(n_vertices, u, v):
 
     Returns
     -------
-    labels : ndarray of int64, shape (n_vertices,)
-        ``labels[x]`` is the smallest vertex index in the cluster of ``x``.
+    Partition
     """
     n_vertices = int(n_vertices)
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     if u.shape != v.shape:
         raise ValueError("endpoint arrays differ in length")
-    if n_vertices == 0:
-        return np.empty(0, dtype=np.int64)
-    if u.size == 0:
-        return np.arange(n_vertices, dtype=np.int64)
     data = np.ones(u.size, dtype=np.int8)
     adj = sparse.csr_matrix((data, (u, v)), shape=(n_vertices, n_vertices))
-    _, raw = connected_components(adj, directed=False)
-    # raw labels are arbitrary; canonicalize to min vertex index per cluster
-    first = np.full(raw.max() + 1, n_vertices, dtype=np.int64)
-    np.minimum.at(first, raw, np.arange(n_vertices, dtype=np.int64))
-    return first[raw]
-
-
-def label_sizes(labels):
-    """Cluster sizes from a canonical label array.
-
-    Returns
-    -------
-    ids : ndarray
-        Sorted canonical cluster ids (ascending).
-    sizes : ndarray
-        ``sizes[i]`` is the number of vertices labelled ``ids[i]``.
-    """
-    ids, sizes = np.unique(labels, return_counts=True)
-    return ids, sizes
+    # scipy numbers components in order of each one's smallest vertex
+    _, index = connected_components(adj, directed=False)
+    return Partition.from_index(index)

@@ -331,23 +331,20 @@ def from_empirical(samples, meta=()):
     n_sites = 0
     for item in samples:
         if hasattr(item, "counts") and hasattr(item, "ks"):          # Census
-            ks, counts = item.ks, item.counts
-            for k, c in zip(ks, counts):
-                site_counts[int(k)] = site_counts.get(int(k), 0) + int(k) * int(c)
+            ks, site_obs = item.ks, item.ks * item.counts
             n_sites += int(item.n_vertices)
         elif hasattr(item, "cluster_sizes"):                          # PercolationConfig
             ks, counts = np.unique(item.cluster_sizes, return_counts=True)
-            for k, c in zip(ks, counts):
-                site_counts[int(k)] = site_counts.get(int(k), 0) + int(k) * int(c)
+            site_obs = ks * counts
             n_sites += int(item.geometry.n_vertices)
         else:                                                         # per-site sizes
             sizes = np.asarray(item, dtype=np.int64)
             if sizes.ndim != 1 or sizes.size == 0 or np.any(sizes < 1):
                 raise DomainError("per-site size arrays must be 1-d with sizes >= 1")
-            ks, counts = np.unique(sizes, return_counts=True)
-            for k, c in zip(ks, counts):
-                site_counts[int(k)] = site_counts.get(int(k), 0) + int(c)
+            ks, site_obs = np.unique(sizes, return_counts=True)
             n_sites += int(sizes.size)
+        for k, c in zip(ks, site_obs):
+            site_counts[int(k)] = site_counts.get(int(k), 0) + int(c)
     ks = np.array(sorted(site_counts), dtype=np.int64)
     counts = np.array([site_counts[int(k)] for k in ks], dtype=np.int64)
     probs = counts / float(n_sites)
@@ -403,43 +400,6 @@ def type_measure(dist, tol=1e-12):
 
 
 # -- serialization -----------------------------------------------------------
-
-
-def to_json_obj(dist):
-    if dist.kind == "exact_d1":
-        return {"kind": "exact_d1", "p": dist.p}
-    obj = {
-        "kind": dist.kind,
-        "k": [int(k) for k in dist.ks],
-        "prob": [float(q) for q in dist.probs],
-        "tail_mass": dist.tail_mass,
-        "meta": {str(k): v for k, v in dist.meta},
-    }
-    if dist.kind == "empirical":
-        obj["counts"] = [int(c) for c in dist.counts]
-        obj["n_sites"] = dist.n_sites
-        obj["n_configs"] = dist.n_configs
-    return obj
-
-
-def from_json_obj(obj):
-    kind = obj.get("kind")
-    if kind == "exact_d1":
-        return exact_d1(obj["p"])
-    meta = tuple(sorted(obj.get("meta", {}).items()))
-    if kind == "table":
-        return from_table(obj["k"], obj["prob"], obj.get("tail_mass", 0.0), meta)
-    if kind == "empirical":
-        return ClusterSizeDistribution(
-            kind="empirical",
-            ks=np.asarray(obj["k"], dtype=np.int64),
-            probs=np.asarray(obj["prob"], dtype=float),
-            counts=np.asarray(obj["counts"], dtype=np.int64),
-            n_sites=int(obj["n_sites"]),
-            n_configs=int(obj["n_configs"]),
-            meta=meta,
-        )
-    raise DomainError(f"unknown distribution kind {kind!r}")
 
 
 def to_csv(dist, fh, invocation=None):

@@ -291,9 +291,10 @@ def run_cell(config, p, c, N=None, dist=None):
     """Run all replicates of one cell and join the solved theory values.
 
     Replicate seeds depend only on (base_seed, d, N, p, c, replicate), so
-    results are reproducible cell by cell.  A cell fails only if more
-    than 10% of its replicates raise; isolated failures are recorded in
-    ``n_failed`` and excluded from the aggregates.
+    results are reproducible cell by cell.  A replicate that leaves the
+    model's domain (``DomainError``) is recorded in ``n_failed`` and
+    excluded from the aggregates; the cell fails if more than 10% do.
+    Any other exception is a bug and propagates.
     """
     N = int(N if N is not None else config.N_values[0])
     p = float(p)
@@ -305,12 +306,13 @@ def run_cell(config, p, c, N=None, dist=None):
     def one_rep(rep):
         seed_p = _rep_seed(config.base_seed, config.d, N, p, c, _STAGE_PERC, rep)
         seed_o = _rep_seed(config.base_seed, config.d, N, p, c, _STAGE_OVERLAY, rep)
-        base = sample_percolation(geom, p, seed_p)
-        merged = overlay_long_range(base, c, seed_o)
-        census = cluster_census(base)
-        in_range = census.ks <= kmax
-        nk = np.zeros(kmax, dtype=float)
-        nk[census.ks[in_range] - 1] = census.counts[in_range]
+        try:
+            base = sample_percolation(geom, p, seed_p)
+            merged = overlay_long_range(base, c, seed_o)
+        except DomainError as exc:
+            return exc
+        sizes = base.cluster_sizes
+        nk = np.bincount(sizes[sizes <= kmax], minlength=kmax + 1)[1:]
         return {
             "c1_frac": merged.largest / n,
             "c2_frac": merged.second_largest / n,
@@ -320,24 +322,10 @@ def run_cell(config, p, c, N=None, dist=None):
             "nk_frac": nk / base.n_clusters,
         }
 
-    results, errors = [], []
-    reps = range(config.replicates)
-    if config.threads > 1:
-        def safe(rep):
-            try:
-                return one_rep(rep)
-            except Exception as exc:       # noqa: BLE001 - tallied below
-                return exc
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = list(pool.map(safe, reps))
-        for out in outcomes:
-            (errors if isinstance(out, Exception) else results).append(out)
-    else:
-        for rep in reps:
-            try:
-                results.append(one_rep(rep))
-            except Exception as exc:       # noqa: BLE001 - tallied below
-                errors.append(exc)
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        outcomes = list(pool.map(one_rep, range(config.replicates)))
+    results = [out for out in outcomes if not isinstance(out, DomainError)]
+    errors = [out for out in outcomes if isinstance(out, DomainError)]
     if len(errors) > 0.1 * config.replicates:
         raise RuntimeError(
             f"cell (N={N}, p={p}, c={c}): {len(errors)} of "
@@ -419,6 +407,7 @@ class ScalingRow:
     alpha: float
     bound: float
     ok: bool
+    c1: np.ndarray = field(repr=False)   # per-replicate largest component
 
 
 @dataclass
@@ -453,10 +442,12 @@ def subcritical_scaling(config, dist=None):
                 cell = run_cell(config, p, c, N, base_dist)
                 p95 = cell.percentile("c1_over_logn", 95)
                 bound = 1.5 * point.alpha
+                n_sites = (2 * N + 1) ** config.d
                 seq.append(p95)
                 rows.append(ScalingRow(
-                    p=p, c=c, N=N, n_sites=(2 * N + 1) ** config.d,
+                    p=p, c=c, N=N, n_sites=n_sites,
                     p95=p95, alpha=point.alpha, bound=bound, ok=p95 <= bound,
+                    c1=np.rint(cell.samples["c1_over_logn"] * math.log(n_sites)),
                 ))
             non_increasing[(p, c)] = all(b <= a + 1e-12 for a, b in zip(seq, seq[1:]))
     return ScalingResult(rows=rows, non_increasing=non_increasing)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .components import component_labels
+from .components import Partition, component_labels
 from .errors import DomainError
 from .rng import edge_uniforms
 
@@ -149,13 +149,8 @@ class PercolationConfig:
     seed : int
         Stream key; the same (geometry, p, seed) always reproduces the
         same configuration.
-    labels : ndarray
-        ``labels[x]`` is the canonical cluster id of site x (the smallest
-        vertex index in its cluster).
-    cluster_ids : ndarray
-        Sorted canonical ids, one per cluster.
-    cluster_sizes : ndarray
-        Sizes aligned with ``cluster_ids``.
+    partition : Partition
+        The clusters of the retained bonds.
     open_u, open_v : ndarray
         Endpoints of the retained bonds (needed to continue the partition
         when long-range edges are merged in later).
@@ -164,15 +159,28 @@ class PercolationConfig:
     geometry: LatticeGeometry
     p: float
     seed: int
-    labels: np.ndarray = field(repr=False, compare=False)
-    cluster_ids: np.ndarray = field(repr=False, compare=False)
-    cluster_sizes: np.ndarray = field(repr=False, compare=False)
+    partition: Partition = field(repr=False, compare=False)
     open_u: np.ndarray = field(repr=False, compare=False)
     open_v: np.ndarray = field(repr=False, compare=False)
 
     @property
+    def labels(self):
+        """``labels[x]``: the smallest vertex index in the cluster of x."""
+        return self.partition.labels
+
+    @property
+    def cluster_ids(self):
+        """Canonical ids (smallest vertex), one per cluster, ascending."""
+        return self.partition.first
+
+    @property
+    def cluster_sizes(self):
+        """Sizes aligned with ``cluster_ids``."""
+        return self.partition.sizes
+
+    @property
     def n_clusters(self):
-        return self.cluster_ids.size
+        return self.partition.sizes.size
 
     @property
     def n_open_edges(self):
@@ -180,8 +188,7 @@ class PercolationConfig:
 
     def sizes_per_site(self):
         """``out[x] = |C(x)|``, the size of the cluster containing site x."""
-        compact = np.searchsorted(self.cluster_ids, self.labels)
-        return self.cluster_sizes[compact]
+        return self.partition.sizes[self.partition.index]
 
 
 def sample_percolation(geometry, p, seed):
@@ -198,11 +205,9 @@ def sample_percolation(geometry, p, seed):
     keep = uniforms < p
     open_u = geometry.edges_u[keep]
     open_v = geometry.edges_v[keep]
-    labels = component_labels(geometry.n_vertices, open_u, open_v)
-    cluster_ids, cluster_sizes = np.unique(labels, return_counts=True)
     return PercolationConfig(
-        geometry=geometry, p=p, seed=int(seed), labels=labels,
-        cluster_ids=cluster_ids, cluster_sizes=cluster_sizes,
+        geometry=geometry, p=p, seed=int(seed),
+        partition=component_labels(geometry.n_vertices, open_u, open_v),
         open_u=open_u, open_v=open_v,
     )
 
@@ -241,7 +246,5 @@ def cluster_census(config):
 
 def origin_cluster_size(config):
     """Size of the cluster containing the site at the coordinate origin."""
-    origin = config.geometry.origin_index
-    label = config.labels[origin]
-    pos = np.searchsorted(config.cluster_ids, label)
-    return int(config.cluster_sizes[pos])
+    part = config.partition
+    return int(part.sizes[part.index[config.geometry.origin_index]])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .components import component_labels
+from .components import Partition, component_labels
 from .errors import DomainError
 from .rng import STREAM_OVERLAY, generator
 
@@ -66,9 +66,9 @@ def _sample_distinct_pairs(rng, n, m):
 class MergedGraph:
     """A bond configuration with its long-range overlay merged in.
 
-    ``labels`` is the canonical partition of the merged graph (smallest
-    vertex index per component), computed from the union of retained
-    bonds and long-range edges.
+    ``partition`` is the component partition of the merged graph,
+    computed from the union of retained bonds and long-range edges;
+    ``labels``, ``component_ids`` and ``component_sizes`` read from it.
     """
 
     base: object                     # PercolationConfig
@@ -76,9 +76,20 @@ class MergedGraph:
     seed: int
     long_u: np.ndarray = field(repr=False, compare=False)
     long_v: np.ndarray = field(repr=False, compare=False)
-    labels: np.ndarray = field(repr=False, compare=False)
-    component_ids: np.ndarray = field(repr=False, compare=False)
-    component_sizes: np.ndarray = field(repr=False, compare=False)
+    partition: Partition = field(repr=False, compare=False)
+
+    @property
+    def labels(self):
+        """``labels[x]``: the smallest vertex index in the component of x."""
+        return self.partition.labels
+
+    @property
+    def component_ids(self):
+        return self.partition.first
+
+    @property
+    def component_sizes(self):
+        return self.partition.sizes
 
     @property
     def n_long_edges(self):
@@ -86,7 +97,7 @@ class MergedGraph:
 
     @property
     def n_components(self):
-        return self.component_ids.size
+        return self.partition.sizes.size
 
     def sizes_desc(self):
         """Component sizes, largest first."""
@@ -122,12 +133,10 @@ def overlay_long_range(base, c, seed):
     long_u, long_v = _sample_distinct_pairs(rng, n, m)
     all_u = np.concatenate([base.open_u, long_u])
     all_v = np.concatenate([base.open_v, long_v])
-    labels = component_labels(n, all_u, all_v)
-    ids, sizes = np.unique(labels, return_counts=True)
     return MergedGraph(
         base=base, c=c, seed=int(seed),
         long_u=long_u, long_v=long_v,
-        labels=labels, component_ids=ids, component_sizes=sizes,
+        partition=component_labels(n, all_u, all_v),
     )
 
 
@@ -155,25 +164,23 @@ class MacroGraph:
 def build_macro_graph(merged):
     """Collapse base clusters to typed macro-vertices and recompute
     components in the quotient."""
-    base = merged.base
-    cid = np.searchsorted(base.cluster_ids, base.labels)   # compact cluster index
-    types = base.cluster_sizes
-    k_n = base.cluster_ids.size
-    mu = cid[merged.long_u]
-    mv = cid[merged.long_v]
+    clusters = merged.base.partition
+    types = clusters.sizes
+    k_n = types.size
+    mu = clusters.index[merged.long_u]
+    mv = clusters.index[merged.long_v]
     cross = mu != mv
     n_intra = int(np.count_nonzero(~cross))
     mu, mv = mu[cross], mv[cross]
     pair_keys = np.minimum(mu, mv) * k_n + np.maximum(mu, mv)
     n_unique = int(np.unique(pair_keys).size) if pair_keys.size else 0
-    macro_labels = component_labels(k_n, mu, mv)
-    ids, macro_sizes = np.unique(macro_labels, return_counts=True)
-    # expanded size = summed types over each macro component
-    expanded = np.zeros(ids.size, dtype=np.int64)
-    np.add.at(expanded, np.searchsorted(ids, macro_labels), types)
+    macro = component_labels(k_n, mu, mv)
+    # expanded size = summed types over each macro component (float sums
+    # of integers below 2**53 are exact)
+    expanded = np.bincount(macro.index, weights=types).astype(np.int64)
     return MacroGraph(
-        n_macro=int(k_n), types=types, macro_labels=macro_labels,
-        component_ids=ids, macro_component_sizes=macro_sizes,
+        n_macro=int(k_n), types=types, macro_labels=macro.labels,
+        component_ids=macro.first, macro_component_sizes=macro.sizes,
         expanded_sizes=expanded,
         n_edges_multi=int(mu.size), n_edges_unique=n_unique, n_intra=n_intra,
     )

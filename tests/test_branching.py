@@ -6,7 +6,6 @@ import pytest
 from percograph import (
     estimate_survival,
     exact_d1,
-    mean_offspring_check,
     point_mass,
     rho_of_type,
     simulate_progeny,
@@ -121,13 +120,6 @@ def test_ambiguous_fraction_counts_late_deaths():
                             max_particles=100_000, ambiguous_at=10)
     assert 0.0 <= est.ambiguous_frac <= 1.0
     assert est.ambiguous_frac > 0.0
-
-
-def test_mean_offspring_check():
-    chk = mean_offspring_check(3, 1.2, exact_d1(0.3), reps=50_000, seed=5)
-    assert chk.expected == pytest.approx(3.6)
-    assert chk.ok
-    assert abs(chk.mean - chk.expected) <= 3 * chk.se
 
 
 def test_estimate_survival_validation():

@@ -60,6 +60,97 @@ def test_merge_row_and_verify(capsys):
     assert row["boundary"] == "torus"
 
 
+README_MERGE = (
+    '# percograph-csv/1 merged-summary | percograph merge --d 1 --N 1000 --p 0.3 --c 1.0 --seed 7 --verify\n'
+    'seed,d,N,boundary,p,c,n_sites,K_N,C1,C2,n_long_edges\n'
+    '7,1,1000,torus,0.3,1,2001,1390,1275,15,984\n'
+)
+README_THEORY = (
+    '# percograph-csv/1 theory-points | percograph theory --d1-exact --p 0.3 --c 0.2 0.6 1.0\n'
+    'd,p,c,c_cr,phase,beta,alpha,y_root,z0,beta_prime_cr,dist_tag\n'
+    ',0.3,0.2,0.538461538462,subcritical,0,7.77455345211,1.68449025886,1.13726328689,2.74111041797,exact_d1(p=0.3)\n'
+    ',0.3,0.6,0.538461538462,supercritical,0.149398868911,,,,2.74111041797,exact_d1(p=0.3)\n'
+    ',0.3,1,0.538461538462,supercritical,0.630694627914,,,,2.74111041797,exact_d1(p=0.3)\n'
+)
+README_THEORY_JSON = (
+    '{\n'
+    '  "invocation": "percograph theory --d1-exact --p 0.3 --c 0.2 0.6 1.0 --format json",\n'
+    '  "rows": [\n'
+    '    {\n'
+    '      "alpha": 7.774553452111203,\n'
+    '      "beta": 0.0,\n'
+    '      "beta_prime_cr": 2.741110417966314,\n'
+    '      "c": 0.2,\n'
+    '      "c_cr": 0.5384615384615383,\n'
+    '      "d": null,\n'
+    '      "dist_tag": "exact_d1(p=0.3)",\n'
+    '      "p": 0.3,\n'
+    '      "phase": "subcritical",\n'
+    '      "y_root": 1.6844902588563215,\n'
+    '      "z0": 1.137263286894435\n'
+    '    },\n'
+    '    {\n'
+    '      "alpha": null,\n'
+    '      "beta": 0.1493988689105179,\n'
+    '      "beta_prime_cr": 2.741110417966314,\n'
+    '      "c": 0.6,\n'
+    '      "c_cr": 0.5384615384615383,\n'
+    '      "d": null,\n'
+    '      "dist_tag": "exact_d1(p=0.3)",\n'
+    '      "p": 0.3,\n'
+    '      "phase": "supercritical",\n'
+    '      "y_root": null,\n'
+    '      "z0": null\n'
+    '    },\n'
+    '    {\n'
+    '      "alpha": null,\n'
+    '      "beta": 0.6306946279139825,\n'
+    '      "beta_prime_cr": 2.741110417966314,\n'
+    '      "c": 1.0,\n'
+    '      "c_cr": 0.5384615384615383,\n'
+    '      "d": null,\n'
+    '      "dist_tag": "exact_d1(p=0.3)",\n'
+    '      "p": 0.3,\n'
+    '      "phase": "supercritical",\n'
+    '      "y_root": null,\n'
+    '      "z0": null\n'
+    '    }\n'
+    '  ],\n'
+    '  "schema": "theory-points"\n'
+    '}\n'
+)
+README_BRANCH = (
+    '# percograph-csv/1 branching-survival | percograph branch --p0 --k 1 --c 2.0 --reps 2000 --seed 11 --max-particles 20000\n'
+    'k,c,dist,reps,rho_hat,se,ci_lo,ci_hi,ambiguous_frac\n'
+    '1,2,exact_d1(p=0),2000,0.8025,0.00890207138817,0.785052260691,0.819947739309,0\n'
+)
+README_PERCOLATE_HEAD = (
+    '# percograph-csv/1 percolation-census | percograph percolate --d 1 --N 100 --p 0.3 --seed 7\n'
+    'k,N_k\n'
+    '1,86\n'
+    '2,27\n'
+)
+
+
+def test_readme_examples_exact_bytes(capsys):
+    # the same seed gives the same bytes: pinned from the README examples
+    examples = [
+        ("merge --d 1 --N 1000 --p 0.3 --c 1.0 --seed 7 --verify", README_MERGE),
+        ("theory --d1-exact --p 0.3 --c 0.2 0.6 1.0", README_THEORY),
+        ("theory --d1-exact --p 0.3 --c 0.2 0.6 1.0 --format json",
+         README_THEORY_JSON),
+        ("branch --p0 --k 1 --c 2.0 --reps 2000 --seed 11 --max-particles 20000",
+         README_BRANCH),
+    ]
+    for argv, expected in examples:
+        code, out, _ = _run(capsys, *argv.split())
+        assert code == 0
+        assert out == expected, argv
+    code, out, _ = _run(capsys, *"percolate --d 1 --N 100 --p 0.3 --seed 7".split())
+    assert code == 0
+    assert out.startswith(README_PERCOLATE_HEAD)
+
+
 def test_theory_csv_values(capsys):
     code, out, _ = _run(capsys, "theory", "--d1-exact", "--p", "0.3",
                         "--c", "0.2", "1.0")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from percograph import exact_d1, from_empirical, from_table, point_mass, type_measure
-from percograph.distributions import from_csv, from_json_obj, to_csv, to_json_obj
+from percograph.distributions import from_csv, to_csv
 from percograph.errors import DivergenceError, DomainError
 from percograph.lattice import build_geometry, cluster_census, sample_percolation
 
@@ -192,14 +192,6 @@ def test_seeded_empirical_probs_sum_to_one(seed):
     assert float(emp.probs.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_json_round_trip():
-    for dist in (exact_d1(0.37), from_table([1, 3, 9], [0.5, 0.25, 0.25]),
-                 from_empirical(np.array([1, 1, 2, 5, 5, 5]))):
-        back = from_json_obj(to_json_obj(dist))
-        assert back.kind == dist.kind
-        assert back.mean_size == pytest.approx(dist.mean_size, rel=1e-12)
-
-
 def test_csv_round_trip_exact_is_tagged_not_tabulated():
     buf = io.StringIO()
     to_csv(exact_d1(0.25), buf)
@@ -222,3 +214,12 @@ def test_csv_round_trip_empirical():
     assert np.array_equal(back.ks, emp.ks)
     assert np.allclose(back.probs, emp.probs, atol=1e-15)
     assert back.n_sites == emp.n_sites
+    # table laws travel through the same format
+    table = from_table([1, 3, 9], [0.5, 0.25, 0.25])
+    buf = io.StringIO()
+    to_csv(table, buf)
+    back = from_csv(io.StringIO(buf.getvalue()))
+    assert back.kind == "table"
+    assert np.array_equal(back.ks, table.ks)
+    assert np.allclose(back.probs, table.probs, atol=1e-15)
+    assert back.mean_size == pytest.approx(table.mean_size, rel=1e-12)

@@ -10,6 +10,7 @@ import pytest
 from percograph import (
     evaluate_checks,
     exact_d1,
+    experiments,
     load_config,
     run_cell,
     run_experiment,
@@ -117,6 +118,23 @@ def test_run_cell_no_edges_at_all():
     assert cell.mean("n_long") == 0.0
     assert cell.kappa_theory == 1.0
     assert cell.n_failed == 0
+
+
+def test_replicate_bug_is_not_tallied_as_failure(monkeypatch):
+    # one replicate in 20 is within the 10% failure allowance, so only a
+    # propagating exception shows the bug
+    real = experiments.overlay_long_range
+    calls = []
+
+    def buggy(base, c, seed):
+        calls.append(seed)
+        if len(calls) == 7:
+            raise TypeError("bug in one replicate")
+        return real(base, c, seed)
+
+    monkeypatch.setattr(experiments, "overlay_long_range", buggy)
+    with pytest.raises(TypeError, match="bug in one replicate"):
+        run_cell(_config(replicates=20), 0.3, 0.2)
 
 
 def test_cell_theory_join_matches_solvers():

@@ -12,6 +12,7 @@ from percograph import (
     origin_cluster_size,
     sample_percolation,
 )
+from percograph.components import Partition, component_labels
 from percograph.errors import DomainError
 
 
@@ -111,6 +112,41 @@ def test_labels_are_canonical_minima():
         assert np.array_equal(cfg.labels[cfg.labels], cfg.labels)
         # every open bond joins same-label endpoints
         assert np.array_equal(cfg.labels[cfg.open_u], cfg.labels[cfg.open_v])
+
+
+def _min_labels(n, u, v):
+    """Smallest vertex per component by propagating minima along edges."""
+    labels = np.arange(n)
+    while True:
+        low = np.minimum(labels[u], labels[v])
+        nxt = labels.copy()
+        np.minimum.at(nxt, u, low)
+        np.minimum.at(nxt, v, low)
+        if np.array_equal(nxt, labels):
+            return labels
+        labels = nxt
+
+
+@given(n=st.integers(1, 40), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_partition_matches_canonical_minima(n, data):
+    vertex = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    u = np.array([a for a, _ in edges], dtype=np.int64)
+    v = np.array([b for _, b in edges], dtype=np.int64)
+    part = component_labels(n, u, v)
+    expected = _min_labels(n, u, v)
+    assert np.array_equal(part.first[part.index], expected)
+    ids, sizes = np.unique(expected, return_counts=True)
+    assert np.array_equal(part.first, ids)
+    assert np.array_equal(part.sizes, sizes)
+
+
+def test_partition_guard_rejects_out_of_order_ids():
+    for index in ([1, 0], [0, 2, 1], [0, 1, 3, 2]):
+        with pytest.raises(RuntimeError, match="smallest vertex"):
+            Partition.from_index(index)
+    assert np.array_equal(Partition.from_index([0, 1, 0, 2]).first, [0, 1, 3])
 
 
 def test_partition_identities():
