@@ -32,7 +32,7 @@ from .fileio import dump_json, write_csv
 from .lattice import build_geometry, cluster_census, sample_percolation
 from .merged import overlay_long_range
 from .rng import STREAM_EXPERIMENT, derive_seed
-from .theory import CRITICAL_BAND, theory_point
+from .theory import theory_point
 
 __all__ = [
     "ExperimentConfig",

@@ -30,11 +30,38 @@ __all__ = [
 _DENSE_PAIR_LIMIT = 1 << 21
 
 
+def _first_distinct(keys):
+    """Ascending positions of the first occurrence of each distinct key.
+
+    Equal to ``np.sort(np.unique(keys, return_index=True)[1])``, but built
+    on a plain sort: only the positions holding a repeated value need a
+    first-occurrence pass, and at sparse densities there are few or none.
+    """
+    s = np.sort(keys)
+    repeated = s[1:][s[1:] == s[:-1]]
+    if repeated.size == 0:
+        return np.arange(keys.size)
+    dup = np.isin(keys, repeated)
+    pos = np.flatnonzero(dup)
+    sub = keys[pos]
+    order = np.argsort(sub, kind="stable")
+    sub = sub[order]
+    lead = np.ones(sub.size, dtype=bool)
+    lead[1:] = sub[1:] != sub[:-1]
+    dup[pos[order[lead]]] = False
+    return np.flatnonzero(~dup)
+
+
 def _sample_distinct_pairs(rng, n, m):
     """m distinct unordered pairs, uniform among the n(n-1)/2 available.
 
-    Rejection sampling with first-appearance deduplication; dense draws
-    fall back to enumerating the pair space.
+    Draw-order contract: each pass draws ``max(2 * (m - distinct), 64)``
+    endpoints ``a``, then as many endpoints ``b`` (``distinct`` counts
+    the distinct pairs drawn so far), and drops draws with ``a == b``;
+    the result is the first m distinct pairs in draw order, i.e.
+    sequential rejection sampling.  So a seed fixes the pairs and the
+    generator state after the call.  Dense requests enumerate the pair
+    space instead.
     """
     n_pairs = n * (n - 1) // 2
     if m > n_pairs:
@@ -46,19 +73,17 @@ def _sample_distinct_pairs(rng, n, m):
         pick = rng.choice(n_pairs, size=m, replace=False)
         return us[pick].astype(np.int64), vs[pick].astype(np.int64)
     keys = np.empty(0, dtype=np.int64)
-    distinct = 0
-    while distinct < m:
-        batch = max(2 * (m - distinct), 64)
+    first = keys
+    while first.size < m:
+        batch = max(2 * (m - first.size), 64)
         a = rng.integers(0, n, size=batch, dtype=np.int64)
         b = rng.integers(0, n, size=batch, dtype=np.int64)
         ok = a != b
         lo = np.minimum(a[ok], b[ok])
         hi = np.maximum(a[ok], b[ok])
         keys = np.concatenate([keys, lo * n + hi])
-        distinct = np.unique(keys).size
-    # first m distinct pairs in draw order == sequential rejection sampling
-    _, first_idx = np.unique(keys, return_index=True)
-    take = keys[np.sort(first_idx)[:m]]
+        first = _first_distinct(keys)
+    take = keys[first[:m]]
     return take // n, take % n
 
 
@@ -173,7 +198,8 @@ def build_macro_graph(merged):
     n_intra = int(np.count_nonzero(~cross))
     mu, mv = mu[cross], mv[cross]
     pair_keys = np.minimum(mu, mv) * k_n + np.maximum(mu, mv)
-    n_unique = int(np.unique(pair_keys).size) if pair_keys.size else 0
+    n_unique = (1 + int(np.count_nonzero(np.diff(np.sort(pair_keys))))
+                if pair_keys.size else 0)
     macro = component_labels(k_n, mu, mv)
     # expanded size = summed types over each macro component (float sums
     # of integers below 2**53 are exact)

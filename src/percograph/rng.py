@@ -18,8 +18,7 @@ import numpy as np
 __all__ = ["derive_seed", "edge_uniforms", "generator"]
 
 # Fixed stream tags so distinct consumers of the same base seed never
-# collide (percolation edges vs. overlay pairs vs. branching runs).
-STREAM_PERCOLATION = 0x1A77
+# collide (overlay pairs vs. branching runs vs. experiment replicates).
 STREAM_OVERLAY = 0x2B88
 STREAM_BRANCHING = 0x3C99
 STREAM_EXPERIMENT = 0x4DAA

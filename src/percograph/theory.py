@@ -28,7 +28,6 @@ from scipy.optimize import bisect
 
 from .distributions import ClusterSizeDistribution
 from .errors import ConvergenceError, DivergenceError, DomainError
-from .fileio import write_csv
 
 __all__ = [
     "CRITICAL_BAND",
@@ -45,7 +44,6 @@ __all__ = [
     "solve_A_z",
     "TheoryPoint",
     "theory_point",
-    "write_points_csv",
 ]
 
 # |c - c_cr| below this counts as sitting on the critical curve.
@@ -295,8 +293,3 @@ def theory_point(dist, c, d=None, p=None, tol=None):
         alpha=alpha, y_root=y_root, z0=z0,
         d=d, p=p, dist_tag=dist.tag(),
     )
-
-
-def write_points_csv(points, fh, invocation=None):
-    rows = [[getattr(pt, col) for col in THEORY_COLUMNS] for pt in points]
-    write_csv(fh, "theory-points", THEORY_COLUMNS, rows, invocation)

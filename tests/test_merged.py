@@ -1,9 +1,12 @@
 """Long-range overlay, the typed quotient, and their correspondence."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from percograph import (
@@ -14,7 +17,7 @@ from percograph import (
     verify_correspondence,
 )
 from percograph.errors import DomainError
-from percograph.merged import _sample_distinct_pairs
+from percograph.merged import _first_distinct, _sample_distinct_pairs
 from percograph.rng import generator
 
 
@@ -118,6 +121,65 @@ def test_sampler_rejects_excess():
     u, v = _sample_distinct_pairs(rng, 4, 6)
     assert sorted((a, b) for a, b in zip(u.tolist(), v.tolist())) == [
         (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+# (d, N, p, c, base seed, overlay seed) -> (n_long_edges, digest, n_edges_unique).
+# The second case is just above the dense limit, so the rejection sampler
+# needs several passes and sees many repeated pairs.
+GOLDEN_OVERLAYS = [
+    ((1, 50_000, 0.3, 1.0, 3, 5), (50020, "f8669a09884a9170", 50020)),
+    ((1, 1100, 0.2, 500.0, 4, 9), (550718, "c75967083e4dca60", 486700)),
+    ((2, 30, 0.3, 40.0, 2, 7), (73921, "9d1e11530ef5e77e", 62427)),
+]
+
+
+@pytest.mark.parametrize("case,expected", GOLDEN_OVERLAYS,
+                         ids=["d1_sparse", "d1_multipass", "d2_repeats"])
+def test_overlay_draws_are_pinned(case, expected):
+    d, N, p, c, base_seed, overlay_seed = case
+    base = sample_percolation(build_geometry(d, N, "torus"), p, base_seed)
+    merged = overlay_long_range(base, c, overlay_seed)
+    macro = build_macro_graph(merged)
+    digest = hashlib.sha256(merged.long_u.astype("<i8").tobytes()
+                            + merged.long_v.astype("<i8").tobytes()).hexdigest()[:16]
+    assert (merged.n_long_edges, digest, macro.n_edges_unique) == expected
+
+
+def _first_occurrences(keys):
+    seen = {}
+    for i, key in enumerate(keys.tolist()):
+        seen.setdefault(key, i)
+    return sorted(seen.values())
+
+
+_wide = st.integers(-(2 ** 62), 2 ** 62)
+_key_arrays = st.one_of(
+    st.lists(_wide, unique=True, max_size=60),                       # no repeats
+    st.builds(lambda k, n: [k] * n, _wide, st.integers(1, 40)),      # all equal
+    st.lists(st.integers(0, 4), max_size=80),                        # small alphabet
+    st.builds(lambda a, b: a + b,                                    # repeats across
+              st.lists(st.integers(0, 30), max_size=40),             # a concatenation
+              st.lists(st.integers(0, 30), max_size=40)),            # boundary
+)
+
+
+@given(keys=_key_arrays)
+@settings(max_examples=300, deadline=None)
+def test_first_distinct_matches_first_occurrence_scan(keys):
+    keys = np.array(keys, dtype=np.int64)
+    first = _first_distinct(keys)
+    assert first.tolist() == _first_occurrences(keys)
+
+
+def test_macro_unique_edges_count_distinct_pairs():
+    base = _base(N=40, p=0.3, seed=12)
+    merged = overlay_long_range(base, 6.0, 2)
+    macro = build_macro_graph(merged)
+    mu = base.partition.index[merged.long_u]
+    mv = base.partition.index[merged.long_v]
+    pairs = {(min(a, b), max(a, b)) for a, b in zip(mu.tolist(), mv.tolist()) if a != b}
+    assert macro.n_edges_multi > len(pairs) > 0
+    assert macro.n_edges_unique == len(pairs)
 
 
 def test_density_bounds():

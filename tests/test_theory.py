@@ -1,6 +1,5 @@
 """Phase-diagram solvers: critical curve, giant fraction, log-law constants."""
 
-import io
 import math
 
 import numpy as np
@@ -22,9 +21,9 @@ from percograph import (
     solve_beta,
     theory_point,
 )
+from percograph.cli import main
 from percograph.errors import DomainError
 from percograph.fileio import read_csv
-from percograph.theory import write_points_csv
 
 # Giant fraction of the pure long-range graph: maximal root of
 # beta = 1 - exp(-c * beta), solved independently by scalar bisection.
@@ -238,13 +237,13 @@ def test_theory_point_fields():
     assert free.alpha is None  # no long-range edges: no log law to report
 
 
-def test_theory_points_csv():
-    d = exact_d1(0.3)
-    pts = [theory_point(d, c, d=1, p=0.3) for c in (0.1, 1.0)]
-    buf = io.StringIO()
-    write_points_csv(pts, buf, invocation="unit")
-    buf.seek(0)
-    comments, columns, rows = read_csv(buf)
+def test_theory_points_csv(tmp_path):
+    target = tmp_path / "points.csv"
+    code = main(["theory", "--d1-exact", "--p", "0.3", "--c", "0.1", "1.0",
+                 "--output", str(target)])
+    assert code == 0
+    with open(target) as fh:
+        comments, columns, rows = read_csv(fh)
     assert any("theory-points" in line for line in comments)
     assert columns[:4] == ["d", "p", "c", "c_cr"]
     assert len(rows) == 2
