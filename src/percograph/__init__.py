@@ -14,7 +14,6 @@ from .distributions import (
     from_empirical,
     from_table,
     point_mass,
-    type_measure,
 )
 from .errors import (
     CheckFailure,
@@ -60,7 +59,7 @@ from .theory import (
 __all__ = [
     "__version__",
     "ClusterSizeDistribution", "exact_d1", "from_empirical", "from_table",
-    "point_mass", "type_measure",
+    "point_mass",
     "LatticeGeometry", "build_geometry", "sample_percolation",
     "cluster_census", "origin_cluster_size",
     "overlay_long_range", "build_macro_graph", "verify_correspondence",

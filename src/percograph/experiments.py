@@ -274,9 +274,7 @@ def estimate_cluster_law(config, p, N):
     for rep in range(config.estimation_replicates):
         seed = _rep_seed(config.base_seed, config.d, N, p, 0.0, _STAGE_ESTIMATE, rep)
         censuses.append(cluster_census(sample_percolation(geom, p, seed)))
-    return from_empirical(censuses, meta=(
-        ("boundary", config.boundary), ("d", config.d), ("N", N), ("p", p),
-    ))
+    return from_empirical(censuses)
 
 
 def _cell_dist(config, p, N, dist):
@@ -413,7 +411,6 @@ class ScalingRow:
 @dataclass
 class ScalingResult:
     rows: list
-    non_increasing: dict      # (p, c) -> bool across the N grid
 
 
 def subcritical_scaling(config, dist=None):
@@ -421,13 +418,9 @@ def subcritical_scaling(config, dist=None):
 
     Every (p, c) cell must be strictly subcritical; for each one the 95th
     percentile of C1/log(box size) over replicates is compared against
-    1.5 * alpha.  ``non_increasing`` records whether that percentile
-    falls as N grows.  It is a reported diagnostic, not a law: C1/log n
-    rises toward alpha from below (at p=0, C1 = alpha (log n - 2.5 log
-    log n) + O_p(1)), so the sequence is not expected to be monotone.
+    1.5 * alpha.
     """
     rows = []
-    non_increasing = {}
     for p in config.p_values:
         for c in config.c_values:
             base_dist = _cell_dist(config, p, max(config.N_values), dist)
@@ -437,20 +430,17 @@ def subcritical_scaling(config, dist=None):
                     f"scaling study needs strictly subcritical cells; "
                     f"(p={p}, c={c}) is {point.phase}"
                 )
-            seq = []
             for N in sorted(config.N_values):
                 cell = run_cell(config, p, c, N, base_dist)
                 p95 = cell.percentile("c1_over_logn", 95)
                 bound = 1.5 * point.alpha
                 n_sites = (2 * N + 1) ** config.d
-                seq.append(p95)
                 rows.append(ScalingRow(
                     p=p, c=c, N=N, n_sites=n_sites,
                     p95=p95, alpha=point.alpha, bound=bound, ok=p95 <= bound,
                     c1=np.rint(cell.samples["c1_over_logn"] * math.log(n_sites)),
                 ))
-            non_increasing[(p, c)] = all(b <= a + 1e-12 for a, b in zip(seq, seq[1:]))
-    return ScalingResult(rows=rows, non_increasing=non_increasing)
+    return ScalingResult(rows=rows)
 
 
 def concentration_check(config):

@@ -177,9 +177,7 @@ class MacroGraph:
 
     n_macro: int
     types: np.ndarray = field(repr=False, compare=False)
-    macro_labels: np.ndarray = field(repr=False, compare=False)
     component_ids: np.ndarray = field(repr=False, compare=False)
-    macro_component_sizes: np.ndarray = field(repr=False, compare=False)
     expanded_sizes: np.ndarray = field(repr=False, compare=False)
     n_edges_multi: int = 0           # projected edges between distinct clusters
     n_edges_unique: int = 0          # distinct macro pairs among them
@@ -205,8 +203,7 @@ def build_macro_graph(merged):
     # of integers below 2**53 are exact)
     expanded = np.bincount(macro.index, weights=types).astype(np.int64)
     return MacroGraph(
-        n_macro=int(k_n), types=types, macro_labels=macro.labels,
-        component_ids=macro.first, macro_component_sizes=macro.sizes,
+        n_macro=int(k_n), types=types, component_ids=macro.first,
         expanded_sizes=expanded,
         n_edges_multi=int(mu.size), n_edges_unique=n_unique, n_intra=n_intra,
     )

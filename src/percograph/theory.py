@@ -14,9 +14,11 @@ solve the fixed-point equations that govern both phases:
   z0 = exp(c * (1 + y - E exp(c|C|y))) of the component generating
   series, and alpha = 1/log(z0).
 
-All expectations go through ClusterSizeDistribution.expect with explicit
+All expectations go through the law's ``expect`` with explicit
 growth-rate declarations, so tail truncation is certified by the
-distribution layer rather than improvised per solver.
+distribution layer rather than improvised per solver.  The law also
+supplies each solver's default tolerance (``default_tol``) and the rate
+at which its expectations diverge (``divergence_rate``).
 """
 
 import math
@@ -26,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import bisect
 
-from .distributions import ClusterSizeDistribution
 from .errors import ConvergenceError, DivergenceError, DomainError
 
 __all__ = [
@@ -53,11 +54,6 @@ CRITICAL_BAND = 1e-9
 _RATE_GAP = 0.02
 
 _MAX_FIXED_POINT_ITER = 100_000
-
-
-def _default_tol(dist):
-    """1e-10 for exact laws, 1e-8 for table/empirical input."""
-    return 1e-10 if dist.kind == "exact_d1" else 1e-8
 
 
 def c_critical(dist):
@@ -96,7 +92,7 @@ def solve_beta(dist, c, tol=None, max_iter=_MAX_FIXED_POINT_ITER):
     if c < 0.0:
         raise DomainError(f"long-range density must be >= 0, got {c}")
     if tol is None:
-        tol = _default_tol(dist)
+        tol = dist.default_tol
     if c <= c_critical(dist) + CRITICAL_BAND:
         return 0.0
     ks, pmf, _ = dist.materialize(0.0, tol * 1e-2)
@@ -135,7 +131,7 @@ def solve_alpha(dist, c, tol=None):
     """
     c = float(c)
     if tol is None:
-        tol = _default_tol(dist)
+        tol = dist.default_tol
     if c <= 0.0:
         raise DomainError(f"long-range density must be > 0, got {c}")
     if c >= c_critical(dist) - CRITICAL_BAND:
@@ -143,7 +139,7 @@ def solve_alpha(dist, c, tol=None):
             f"subcritical constant needs c < c_cr = {c_critical(dist):.6g}, got {c}"
         )
 
-    zeta = dist.zeta_exact() if dist.kind == "exact_d1" else math.inf
+    zeta = dist.divergence_rate
     y_cap = math.inf if math.isinf(zeta) else zeta * (1.0 - _RATE_GAP) / c
 
     def h(y):
@@ -220,7 +216,7 @@ def solve_A_z(dist, c, z, tol=None, max_iter=_MAX_FIXED_POINT_ITER):
     c = float(c)
     z = float(z)
     if tol is None:
-        tol = _default_tol(dist)
+        tol = dist.default_tol
     if z <= 0.0:
         raise DomainError(f"generating-series argument must be > 0, got {z}")
     zeta = dist.zeta_bound()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from percograph import exact_d1, from_empirical, from_table, point_mass, type_measure
+from percograph import exact_d1, from_empirical, from_table, point_mass
 from percograph.distributions import from_csv, to_csv
 from percograph.errors import DivergenceError, DomainError
 from percograph.lattice import build_geometry, cluster_census, sample_percolation
@@ -153,28 +153,6 @@ def test_from_empirical_pooling():
     assert pooled.n_configs == 2
 
 
-def test_type_measure_identities():
-    for p in (0.2, 0.5, 0.8):
-        d = exact_d1(p)
-        tm = type_measure(d)
-        # normalization up to the truncation tail
-        assert float(tm.mu.sum()) == pytest.approx(1.0, abs=1e-10)
-        assert tm.mu_tilde[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.all(np.diff(tm.mu_tilde) <= 1e-15)
-        # duality: k * mu(k) * kappa = pmf(k)
-        pmf = np.asarray(d.pmf(tm.ks))
-        assert np.allclose(tm.ks * tm.mu * tm.kappa, pmf, atol=1e-12)
-        # telescoping: mu_tilde(k) - mu_tilde(k+1) = pmf(k)
-        assert np.allclose(tm.mu_tilde[:-1] - tm.mu_tilde[1:], pmf[:-1], atol=1e-10)
-
-
-def test_type_measure_geometric_example():
-    # at p = 1/2 the type law is exactly 2^-k
-    tm = type_measure(exact_d1(0.5))
-    assert np.allclose(tm.mu[:6], 0.5 ** np.arange(1, 7), atol=1e-12)
-    assert tm.kappa == pytest.approx(0.5, abs=1e-15)
-
-
 @given(p=st.floats(0.02, 0.93), k=st.integers(1, 60))
 @settings(max_examples=60, deadline=None)
 def test_survival_telescopes_to_pmf(p, k):
@@ -201,7 +179,7 @@ def test_csv_round_trip_exact_is_tagged_not_tabulated():
     assert len([line for line in text.splitlines()
                 if line and not line.startswith("#")]) == 1  # header only
     back = from_csv(io.StringIO(text))
-    assert back.kind == "exact_d1"
+    assert back.tag() == exact_d1(0.25).tag()
     assert back.p == 0.25
 
 
@@ -210,7 +188,7 @@ def test_csv_round_trip_empirical():
     buf = io.StringIO()
     to_csv(emp, buf)
     back = from_csv(io.StringIO(buf.getvalue()))
-    assert back.kind == "empirical"
+    assert back.tag() == emp.tag()
     assert np.array_equal(back.ks, emp.ks)
     assert np.allclose(back.probs, emp.probs, atol=1e-15)
     assert back.n_sites == emp.n_sites
@@ -219,7 +197,7 @@ def test_csv_round_trip_empirical():
     buf = io.StringIO()
     to_csv(table, buf)
     back = from_csv(io.StringIO(buf.getvalue()))
-    assert back.kind == "table"
+    assert back.tag() == table.tag()
     assert np.array_equal(back.ks, table.ks)
     assert np.allclose(back.probs, table.probs, atol=1e-15)
     assert back.mean_size == pytest.approx(table.mean_size, rel=1e-12)

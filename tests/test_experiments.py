@@ -170,7 +170,7 @@ def test_estimate_cluster_law_matches_exact_in_d1():
     cfg = _config(N=2000, estimation_replicates=10)
     emp = estimate_cluster_law(cfg, 0.3, 2000)
     ex = exact_d1(0.3)
-    assert emp.kind == "empirical"
+    assert emp.tag() == f"empirical(n_sites={10 * 4001},n_configs=10)"
     assert emp.n_configs == 10
     assert emp.mean_size == pytest.approx(ex.mean_size, rel=0.05)
     assert emp.mean_inverse_size == pytest.approx(ex.mean_inverse_size, rel=0.01)
@@ -208,7 +208,6 @@ def test_subcritical_scaling_rows():
         assert row.bound == pytest.approx(1.5 * row.alpha, rel=1e-12)
         assert row.ok
         assert row.n_sites == 2 * row.N + 1
-    assert (0.3, 0.2) in result.non_increasing
 
 
 def test_subcritical_scaling_rejects_supercritical():
@@ -283,6 +282,13 @@ def test_per_k_csv_and_mu_join():
     mu1 = float(rows[0][columns.index("mu_theory")])
     ex = exact_d1(0.3)
     assert mu1 == pytest.approx(float(ex.pmf(1)) / ex.mean_inverse_size, rel=1e-9)
+
+
+def test_per_k_mu_geometric_at_half():
+    # at p = 1/2 the type law mu(k) = P{|C| = k} / (k E(1/|C|)) is exactly 2^-k
+    cell = run_cell(_config(p=0.5, replicates=2, k_max_report=6), 0.5, 0.2)
+    assert np.allclose(cell.per_k_mu, 0.5 ** np.arange(1, 7), atol=1e-12)
+    assert cell.kappa_theory == pytest.approx(0.5, abs=1e-15)
 
 
 def test_run_experiment_writes_outputs(tmp_path):
