@@ -77,6 +77,8 @@ def component_labels(n_vertices, u, v):
         raise ValueError("endpoint arrays differ in length")
     data = np.ones(u.size, dtype=np.int8)
     adj = sparse.csr_matrix((data, (u, v)), shape=(n_vertices, n_vertices))
+    # free edge arrays passed as temporaries before the solver copies adj
+    del data, u, v
     # scipy numbers components in order of each one's smallest vertex
     _, index = connected_components(adj, directed=False)
     return Partition.from_index(index)

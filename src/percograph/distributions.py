@@ -328,6 +328,11 @@ def point_mass(k=1):
     return TableLaw(ks=np.array([k], dtype=np.int64), probs=np.array([1.0]))
 
 
+def _check_support(ks):
+    if np.any(ks < 1) or np.any(np.diff(ks) <= 0):
+        raise DomainError("table support must be strictly increasing sizes >= 1")
+
+
 def from_table(ks, probs, tail_mass=0.0):
     """Explicit finite law.  Probabilities plus tail_mass must sum to 1
     within 1e-10 and the support must be strictly increasing."""
@@ -335,8 +340,7 @@ def from_table(ks, probs, tail_mass=0.0):
     probs = np.asarray(probs, dtype=float)
     if ks.ndim != 1 or ks.shape != probs.shape or ks.size == 0:
         raise DomainError("table needs matching 1-d size and probability arrays")
-    if np.any(ks < 1) or np.any(np.diff(ks) <= 0):
-        raise DomainError("table support must be strictly increasing sizes >= 1")
+    _check_support(ks)
     if np.any(probs < 0.0) or not 0.0 <= tail_mass < 1.0:
         raise DomainError("probabilities must be nonnegative")
     total = probs.sum() + tail_mass
@@ -410,12 +414,17 @@ def from_csv(fh):
     if fields.get("kind") == "exact_d1":
         return exact_d1(float(fields["p"]))
     ks = [int(r[0]) for r in rows]
-    probs = [float(r[1]) for r in rows]
     tail = float(fields.get("tail_mass", 0.0))
     if "count" in columns:
-        return TableLaw(
-            ks=np.asarray(ks, dtype=np.int64), probs=np.asarray(probs, dtype=float),
-            tail_mass=tail, counts=np.asarray([int(r[2]) for r in rows], dtype=np.int64),
-            n_configs=int(fields["n_configs"]),
-        )
-    return from_table(ks, probs, tail)
+        # probabilities come from the exact counts, not the rounded prob column
+        ks = np.asarray(ks, dtype=np.int64)
+        _check_support(ks)
+        try:
+            counts = np.asarray([int(r[2]) for r in rows], dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise DomainError(f"counts must be integers: {exc}") from None
+        if np.any(counts < 0) or counts.sum() <= 0:
+            raise DomainError("counts must be >= 0 with a positive total")
+        return TableLaw(ks=ks, probs=counts / float(counts.sum()), tail_mass=tail,
+                        counts=counts, n_configs=int(fields["n_configs"]))
+    return from_table(ks, [float(r[1]) for r in rows], tail)

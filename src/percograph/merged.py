@@ -5,12 +5,14 @@ independent long-range edge between every unordered pair of sites with
 probability c/n (n the number of sites).  Collapsing every percolation
 cluster to one macro-vertex whose type is the cluster size produces a
 quotient graph whose connected components correspond one-to-one to the
-merged components, with sizes given by the summed types.  Both routes
-are computed here independently so the correspondence can be checked,
-not assumed.
+merged components, with sizes given by the summed types.  Production
+goes through the quotient; ``verify_correspondence`` holds the direct
+union of bonds and long-range edges, so the correspondence can be
+checked, not assumed.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,9 +93,10 @@ def _sample_distinct_pairs(rng, n, m):
 class MergedGraph:
     """A bond configuration with its long-range overlay merged in.
 
-    ``partition`` is the component partition of the merged graph,
-    computed from the union of retained bonds and long-range edges;
-    ``labels``, ``component_ids`` and ``component_sizes`` read from it.
+    ``macro`` is the component partition of the quotient: the base
+    clusters, as macro-vertices, joined by the projected long-range
+    edges.  Its components are the merged components, so ``labels``,
+    ``component_sizes`` and ``n_components`` all read from it.
     """
 
     base: object                     # PercolationConfig
@@ -101,20 +104,24 @@ class MergedGraph:
     seed: int
     long_u: np.ndarray = field(repr=False, compare=False)
     long_v: np.ndarray = field(repr=False, compare=False)
-    partition: Partition = field(repr=False, compare=False)
+    macro: Partition = field(repr=False, compare=False)
 
     @property
     def labels(self):
-        """``labels[x]``: the smallest vertex index in the component of x."""
-        return self.partition.labels
+        """``labels[x]``: the smallest vertex index in the component of x.
 
-    @property
-    def component_ids(self):
-        return self.partition.first
+        Clusters are numbered by their smallest site, so the smallest
+        site of a merged component is that of its first cluster.
+        """
+        clusters = self.base.partition
+        return clusters.first[self.macro.labels[clusters.index]]
 
-    @property
+    @cached_property
     def component_sizes(self):
-        return self.partition.sizes
+        """Sites per merged component: the summed sizes of its clusters
+        (float sums of integers below 2**53 are exact)."""
+        return np.bincount(self.macro.index,
+                           weights=self.base.cluster_sizes).astype(np.int64)
 
     @property
     def n_long_edges(self):
@@ -122,7 +129,7 @@ class MergedGraph:
 
     @property
     def n_components(self):
-        return self.partition.sizes.size
+        return self.macro.sizes.size
 
     def sizes_desc(self):
         """Component sizes, largest first."""
@@ -130,11 +137,11 @@ class MergedGraph:
 
     @property
     def largest(self):
-        return int(self.component_sizes.max()) if self.component_sizes.size else 0
+        return int(self.component_sizes.max()) if self.n_components else 0
 
     @property
     def second_largest(self):
-        if self.component_sizes.size < 2:
+        if self.n_components < 2:
             return 0
         return int(self.sizes_desc()[1])
 
@@ -156,13 +163,11 @@ def overlay_long_range(base, c, seed):
     n_pairs = n * (n - 1) // 2
     m = int(rng.binomial(n_pairs, c / n)) if c > 0.0 else 0
     long_u, long_v = _sample_distinct_pairs(rng, n, m)
-    all_u = np.concatenate([base.open_u, long_u])
-    all_v = np.concatenate([base.open_v, long_v])
-    return MergedGraph(
-        base=base, c=c, seed=int(seed),
-        long_u=long_u, long_v=long_v,
-        partition=component_labels(n, all_u, all_v),
-    )
+    clusters = base.partition
+    macro = component_labels(base.n_clusters, clusters.index[long_u],
+                             clusters.index[long_v])
+    return MergedGraph(base=base, c=c, seed=int(seed),
+                       long_u=long_u, long_v=long_v, macro=macro)
 
 
 @dataclass(frozen=True)
@@ -185,8 +190,8 @@ class MacroGraph:
 
 
 def build_macro_graph(merged):
-    """Collapse base clusters to typed macro-vertices and recompute
-    components in the quotient."""
+    """Collapse base clusters to typed macro-vertices and tally how the
+    long-range edges project; the components are ``merged.macro``."""
     clusters = merged.base.partition
     types = clusters.sizes
     k_n = types.size
@@ -198,24 +203,22 @@ def build_macro_graph(merged):
     pair_keys = np.minimum(mu, mv) * k_n + np.maximum(mu, mv)
     n_unique = (1 + int(np.count_nonzero(np.diff(np.sort(pair_keys))))
                 if pair_keys.size else 0)
-    macro = component_labels(k_n, mu, mv)
-    # expanded size = summed types over each macro component (float sums
-    # of integers below 2**53 are exact)
-    expanded = np.bincount(macro.index, weights=types).astype(np.int64)
     return MacroGraph(
-        n_macro=int(k_n), types=types, component_ids=macro.first,
-        expanded_sizes=expanded,
+        n_macro=int(k_n), types=types, component_ids=merged.macro.first,
+        expanded_sizes=merged.component_sizes,
         n_edges_multi=int(mu.size), n_edges_unique=n_unique, n_intra=n_intra,
     )
 
 
 def verify_correspondence(merged, macro=None):
-    """Check that quotient components match merged components exactly.
+    """Check the quotient's components against a direct labelling.
 
-    The construction makes this an identity, so the check is a guard
-    against implementation bugs: component counts must agree and the
-    multiset of merged component sizes must equal the multiset of
-    type-sums over macro components.
+    The direct route labels the union of retained bonds and long-range
+    edges over all n sites, independently of the quotient.  Both number
+    components by their smallest site, so the check is exact and in
+    order: the same component count, each component's smallest site
+    equal to that of its first macro-vertex's cluster, and its size
+    equal to the summed types.
 
     Returns
     -------
@@ -224,19 +227,22 @@ def verify_correspondence(merged, macro=None):
     """
     if macro is None:
         macro = build_macro_graph(merged)
-    merged_sizes = np.sort(merged.component_sizes)
-    expanded = np.sort(macro.expanded_sizes)
+    base = merged.base
+    direct = component_labels(
+        base.geometry.n_vertices,
+        np.concatenate([base.open_u, merged.long_u]),
+        np.concatenate([base.open_v, merged.long_v]),
+    )
+    if direct.sizes.size != macro.component_ids.size:
+        return False, (f"component counts differ: merged {direct.sizes.size}, "
+                       f"macro {macro.component_ids.size}")
     problems = []
-    if merged.n_components != macro.component_ids.size:
-        problems.append(
-            f"component counts differ: merged {merged.n_components}, "
-            f"macro {macro.component_ids.size}"
-        )
-    if merged_sizes.size == expanded.size and not np.array_equal(merged_sizes, expanded):
-        bad = np.nonzero(merged_sizes != expanded)[0][:5]
-        diff = ", ".join(
-            f"rank {i}: merged {merged_sizes[i]} vs macro {expanded[i]}" for i in bad
-        )
-        problems.append(f"size multisets differ: {diff}")
-    ok = not problems
-    return ok, "; ".join(problems)
+    for what, got, want in (
+            ("smallest sites", direct.first, base.partition.first[macro.component_ids]),
+            ("sizes", direct.sizes, macro.expanded_sizes)):
+        bad = np.flatnonzero(got != want)[:5]
+        if bad.size:
+            diff = ", ".join(f"component {i}: merged {got[i]} vs macro {want[i]}"
+                             for i in bad)
+            problems.append(f"component {what} differ: {diff}")
+    return not problems, "; ".join(problems)

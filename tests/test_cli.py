@@ -1,5 +1,6 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
+import hashlib
 import io
 import json
 import math
@@ -149,6 +150,27 @@ def test_readme_examples_exact_bytes(capsys):
     code, out, _ = _run(capsys, *"percolate --d 1 --N 100 --p 0.3 --seed 7".split())
     assert code == 0
     assert out.startswith(README_PERCOLATE_HEAD)
+
+
+D2_PLUGIN_CONFIG = {"d": 2, "N": [10, 20], "boundary": "torus", "p": 0.3,
+                    "c": [0.05, 0.1, 0.2, 0.4], "replicates": 8,
+                    "estimation_replicates": 4, "threads": 1, "base_seed": 2024}
+D2_PLUGIN_DIGESTS = {
+    "per_k.csv": "d1ce71317fb9fd44",
+    "summary.csv": "32dd55ddde1a979f",
+    "summary.json": "52b54346f5b0b9bc",
+}
+
+
+def test_d2_plugin_experiment_exact_bytes(tmp_path, monkeypatch, capsys):
+    # d = 2 with the plug-in law, c grid across c_cr_hat ~ 0.13-0.16
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(D2_PLUGIN_CONFIG))
+    code, _, _ = _run(capsys, "experiment", "--config", "config.json", "--out-dir", "out")
+    assert code == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()[:16]
+               for name in D2_PLUGIN_DIGESTS}
+    assert digests == D2_PLUGIN_DIGESTS
 
 
 def test_theory_csv_values(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from percograph import exact_d1, from_empirical, from_table, point_mass
+from percograph import exact_d1, from_empirical, from_table, point_mass, theory_point
 from percograph.distributions import from_csv, to_csv
 from percograph.errors import DivergenceError, DomainError
 from percograph.lattice import build_geometry, cluster_census, sample_percolation
@@ -183,6 +183,23 @@ def test_csv_round_trip_exact_is_tagged_not_tabulated():
     assert back.p == 0.25
 
 
+EMPIRICAL_CSV = (
+    "# percograph-csv/1 cluster-dist\n# kind=empirical tail_mass=0.0\n"
+    "# n_sites=6 n_configs=1\nk,prob,count\n{rows}\n")
+
+
+@pytest.mark.parametrize("rows", [
+    "1,0.5,3\n2,0.5,-1\n7,0.5,4",          # negative count
+    "1,0,0\n2,0,0",                         # zero total
+    "1,0.5,3\n2,0.5,1.5",                   # non-integer count
+    "2,0.5,3\n1,0.5,3",                     # support not increasing
+    "0,0.5,3\n1,0.5,3",                     # size below 1
+], ids=["negative", "zero_total", "non_integer", "not_increasing", "below_one"])
+def test_csv_empirical_counts_are_validated(rows):
+    with pytest.raises(DomainError):
+        from_csv(io.StringIO(EMPIRICAL_CSV.format(rows=rows)))
+
+
 def test_csv_round_trip_empirical():
     emp = from_empirical(np.array([1, 1, 1, 2, 2, 7]))
     buf = io.StringIO()
@@ -190,8 +207,10 @@ def test_csv_round_trip_empirical():
     back = from_csv(io.StringIO(buf.getvalue()))
     assert back.tag() == emp.tag()
     assert np.array_equal(back.ks, emp.ks)
-    assert np.allclose(back.probs, emp.probs, atol=1e-15)
+    assert np.array_equal(back.probs, emp.probs)
     assert back.n_sites == emp.n_sites
+    for c in (0.2, 1.0):  # on both sides of c_cr = 3/7
+        assert theory_point(back, c) == theory_point(emp, c)
     # table laws travel through the same format
     table = from_table([1, 3, 9], [0.5, 0.25, 0.25])
     buf = io.StringIO()

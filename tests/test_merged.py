@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import percograph.merged
 from percograph import (
     build_geometry,
     build_macro_graph,
@@ -16,6 +17,7 @@ from percograph import (
     sample_percolation,
     verify_correspondence,
 )
+from percograph.components import component_labels
 from percograph.errors import DomainError
 from percograph.merged import _first_distinct, _sample_distinct_pairs
 from percograph.rng import generator
@@ -234,12 +236,52 @@ def test_correspondence_catches_tampering():
     broken = dataclasses.replace(macro, expanded_sizes=bad_sizes)
     ok, report = verify_correspondence(merged, broken)
     assert not ok
-    assert "size multisets differ" in report
+    assert "component sizes differ" in report
 
     fewer = dataclasses.replace(macro, component_ids=macro.component_ids[:-1])
     ok, report = verify_correspondence(merged, fewer)
     assert not ok
     assert "component counts differ" in report
+
+    # same count and size multiset, components out of canonical order
+    reordered = dataclasses.replace(macro, component_ids=macro.component_ids[::-1])
+    ok, report = verify_correspondence(merged, reordered)
+    assert not ok
+    assert "component smallest sites differ" in report
+
+
+@given(d=st.sampled_from([1, 2]), boundary=st.sampled_from(["free", "torus"]),
+       p=st.floats(0.0, 0.9), density=st.sampled_from(["none", "sparse", "dense"]),
+       seed=st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_quotient_labels_equal_direct_union(d, boundary, p, density, seed):
+    base = sample_percolation(build_geometry(d, 12 if d == 2 else 60, boundary), p, seed)
+    n = base.geometry.n_vertices
+    # "dense" takes the sampler's enumerate-all-pairs path
+    c = {"none": 0.0, "sparse": 0.8, "dense": 0.3 * n}[density]
+    merged = overlay_long_range(base, c, seed + 1)
+    direct = component_labels(
+        n, np.concatenate([base.open_u, merged.long_u]),
+        np.concatenate([base.open_v, merged.long_v]))
+    assert np.array_equal(merged.labels, direct.labels)
+    assert np.array_equal(merged.component_sizes, direct.sizes)
+    assert merged.n_components == direct.sizes.size
+
+
+def test_components_are_labelled_once_on_the_quotient(monkeypatch):
+    base = _base(N=200, p=0.4, seed=5)
+    calls = []
+    real = percograph.merged.component_labels
+
+    def counting(n_vertices, u, v):
+        calls.append(n_vertices)
+        return real(n_vertices, u, v)
+
+    monkeypatch.setattr(percograph.merged, "component_labels", counting)
+    merged = overlay_long_range(base, 1.5, 3)
+    assert calls == [base.n_clusters]
+    build_macro_graph(merged)
+    assert calls == [base.n_clusters]
 
 
 def test_macro_type_histogram_matches_base_census():
