@@ -8,6 +8,13 @@ rank-1 kernel: a type-x particle produces Poisson-many type-y children
 with mean c * x * y * mu(y) summed over y, and thinning the total by the
 size-biased type law realizes exactly that.
 
+A tree therefore needs no per-particle state.  A generation is a count
+and its type sum g: the next count is Poisson(c * g), and the next g is
+the type sum of that many i.i.d. draws from the law truncated at tail
+mass 1e-8, drawn as one multinomial split over the table, at a cost that
+does not grow with the count.  All replicates advance one generation per
+pass, in lockstep; a tree leaves the batch when it dies or hits a cap.
+
 Survival is estimated by a capped exploration: a run that reaches the
 particle cap (or the generation cap) is counted as surviving.  Runs that
 die late, between the ambiguity threshold and the cap, are tallied so the
@@ -22,37 +29,67 @@ from scipy import stats
 from .errors import DomainError
 from .rng import STREAM_BRANCHING, generator
 
-__all__ = [
-    "TypeSampler",
-    "ProgenyOutcome",
-    "simulate_progeny",
-    "SurvivalEstimate",
-    "estimate_survival",
-]
+__all__ = ["ProgenyOutcome", "simulate_progeny", "SurvivalEstimate", "estimate_survival"]
 
 # mass allowed beyond the truncated child-type table
 _TYPE_TAIL = 1e-8
+# two-sided normal quantile of the reported confidence interval
+_CI_Z = float(stats.norm.ppf(0.975))
 
 
-class TypeSampler:
-    """Inverse-CDF sampler for child types drawn from a cluster-size law.
+def _type_table(dist):
+    """Child-type sizes with the probability that a draw takes each size
+    given that it takes none of the smaller ones; the last is exactly 1."""
+    ks, pmf, tail = dist.materialize(0.0, _TYPE_TAIL)
+    if tail >= _TYPE_TAIL * 10:
+        raise DomainError(f"type table leaves {tail:.3g} mass unaccounted")
+    keep = pmf > 0.0
+    ks, pmf = ks[keep], pmf[keep]
+    return ks, pmf / np.cumsum(pmf[::-1])[::-1]
 
-    The law is truncated where its tail mass drops below 1e-8 and
-    renormalized; the induced extinction bias is far below Monte Carlo
-    resolution at any feasible replicate count.
-    """
 
-    def __init__(self, dist):
-        ks, pmf, tail = dist.materialize(0.0, _TYPE_TAIL)
-        if tail >= _TYPE_TAIL * 10:
-            raise DomainError(f"type table leaves {tail:.3g} mass unaccounted")
-        self.ks = ks
-        self.cdf = np.cumsum(pmf / pmf.sum())
-        self.cdf[-1] = 1.0
+def _type_sums(rng, counts, ks, cond):
+    """Type sum of counts[i] i.i.d. table draws, for every i at once: size
+    ks[j] takes Binomial(left, cond[j]) of the draws still unassigned."""
+    left = np.array(counts, dtype=np.int64)
+    sums = np.zeros_like(left)
+    for k, q in zip(ks, cond):
+        if not left.any():
+            break
+        took = rng.binomial(left, q)
+        sums += k * took
+        left -= took
+    return sums
 
-    def sample(self, rng, size):
-        u = rng.random(size)
-        return self.ks[np.searchsorted(self.cdf, u, side="right")]
+
+def _grow(k, c, dist, reps, rng, max_particles, max_generations):
+    """Run ``reps`` type-k progeny trees in lockstep.  Returns per tree the
+    particles (root included), the summed types, the generations and
+    whether it reached a cap."""
+    k, c = int(k), float(c)
+    if k < 1:
+        raise DomainError(f"root type must be >= 1, got {k}")
+    if c < 0.0:
+        raise DomainError(f"branching density must be >= 0, got {c}")
+    ks, cond = _type_table(dist)
+    n = np.ones(reps, dtype=np.int64)
+    total = np.full(reps, k, dtype=np.int64)
+    gens = np.zeros(reps, dtype=np.int64)
+    hit = np.zeros(reps, dtype=bool)
+    live = np.arange(reps)
+    g = total.copy()
+    while live.size:
+        count = rng.poisson(c * g)
+        born = count > 0
+        live, count = live[born], count[born]
+        g = _type_sums(rng, count, ks, cond)
+        n[live] += count
+        total[live] += g
+        gens[live] += 1
+        capped = (n[live] > max_particles) | (gens[live] >= max_generations)
+        hit[live[capped]] = True
+        live, g = live[~capped], g[~capped]
+    return n, total, gens, hit
 
 
 @dataclass(frozen=True)
@@ -66,41 +103,13 @@ class ProgenyOutcome:
     hit_cap: bool        # reached a cap; treated as survival
 
 
-def _explore(root_type, c, sampler, max_particles, max_generations, rng):
-    n = 1
-    total_type = int(root_type)
-    gen_type_sum = int(root_type)
-    generations = 0
-    while True:
-        count = int(rng.poisson(c * gen_type_sum))
-        if count == 0:
-            return ProgenyOutcome(int(root_type), n, total_type, generations, False)
-        types = sampler.sample(rng, count)
-        n += count
-        total_type += int(types.sum())
-        generations += 1
-        if n > max_particles or generations >= max_generations:
-            return ProgenyOutcome(int(root_type), n, total_type, generations, True)
-        gen_type_sum = int(types.sum())
-
-
 def simulate_progeny(k, c, dist, seed, max_particles=1_000_000,
                      max_generations=10_000):
-    """Explore the progeny tree of a single type-k particle.
-
-    Generation by generation: the next generation's count is
-    Poisson(c * sum of current types), the superposition of the
-    per-particle Poisson(c x) draws, and its types are i.i.d. from the
-    cluster-size law.
-    """
-    k = int(k)
-    if k < 1:
-        raise DomainError(f"root type must be >= 1, got {k}")
-    if c < 0.0:
-        raise DomainError(f"branching density must be >= 0, got {c}")
-    sampler = TypeSampler(dist)
-    rng = generator(seed, STREAM_BRANCHING)
-    return _explore(k, float(c), sampler, int(max_particles), int(max_generations), rng)
+    """Explore the progeny tree of a single type-k particle: the lockstep
+    engine run with one replicate."""
+    n, total, gens, hit = _grow(k, c, dist, 1, generator(seed, STREAM_BRANCHING),
+                                int(max_particles), int(max_generations))
+    return ProgenyOutcome(int(k), int(n[0]), int(total[0]), int(gens[0]), bool(hit[0]))
 
 
 @dataclass(frozen=True)
@@ -119,8 +128,9 @@ class SurvivalEstimate:
 
 
 def estimate_survival(k, c, dist, reps=10_000, seed=0, max_particles=1_000_000,
-                      max_generations=10_000, ci_level=0.95, ambiguous_at=1_000):
-    """Monte Carlo survival probability of a type-k progeny tree.
+                      max_generations=10_000, ambiguous_at=1_000):
+    """Monte Carlo survival probability of a type-k progeny tree, with a
+    95% normal confidence interval.
 
     Survival means hitting a cap.  The returned ``ambiguous_frac`` is the
     fraction of runs that died after exceeding ``ambiguous_at`` particles;
@@ -130,25 +140,14 @@ def estimate_survival(k, c, dist, reps=10_000, seed=0, max_particles=1_000_000,
     reps = int(reps)
     if reps < 1:
         raise DomainError("need at least one replicate")
-    sampler = TypeSampler(dist)
-    c = float(c)
-    survived = 0
-    ambiguous = 0
-    for rep in range(reps):
-        rng = generator(seed, STREAM_BRANCHING, rep)
-        out = _explore(int(k), c, sampler, int(max_particles),
-                       int(max_generations), rng)
-        if out.hit_cap:
-            survived += 1
-        elif out.n_particles > ambiguous_at:
-            ambiguous += 1
-    rho = survived / reps
+    n, _, _, hit = _grow(k, c, dist, reps, generator(seed, STREAM_BRANCHING),
+                         int(max_particles), int(max_generations))
+    rho = int(np.count_nonzero(hit)) / reps
     se = float(np.sqrt(rho * (1.0 - rho) / reps))
-    z = float(stats.norm.ppf(0.5 + ci_level / 2.0))
     return SurvivalEstimate(
-        root_type=int(k), c=c, dist_tag=dist.tag(), reps=reps,
+        root_type=int(k), c=float(c), dist_tag=dist.tag(), reps=reps,
         rho_hat=rho, se=se,
-        ci_lo=max(0.0, rho - z * se), ci_hi=min(1.0, rho + z * se),
-        ambiguous_frac=ambiguous / reps,
+        ci_lo=max(0.0, rho - _CI_Z * se), ci_hi=min(1.0, rho + _CI_Z * se),
+        ambiguous_frac=int(np.count_nonzero(~hit & (n > ambiguous_at))) / reps,
         max_particles=int(max_particles), max_generations=int(max_generations),
     )

@@ -344,7 +344,7 @@ def from_table(ks, probs, tail_mass=0.0):
     if np.any(probs < 0.0) or not 0.0 <= tail_mass < 1.0:
         raise DomainError("probabilities must be nonnegative")
     total = probs.sum() + tail_mass
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:  # also rejects nan
         raise DomainError(f"probabilities sum to {total!r}, not 1")
     return TableLaw(ks=ks, probs=probs, tail_mass=float(tail_mass))
 
@@ -402,6 +402,17 @@ def to_csv(dist, fh, invocation=None):
     write_csv(fh, "cluster-dist", cols, rows, invocation, extra_comments=comments)
 
 
+def _parse(parse, text, name):
+    """One value read from a law file, which is outside input: a missing
+    or malformed value raises DomainError."""
+    if text is None:
+        raise DomainError(f"law file has no {name}")
+    try:
+        return parse(text)
+    except (ValueError, OverflowError):
+        raise DomainError(f"law file {name} {text!r} is not a valid {parse.__name__}") from None
+
+
 def from_csv(fh):
     """Read a law written by :func:`to_csv`."""
     comments, columns, rows = read_csv(fh)
@@ -412,19 +423,18 @@ def from_csv(fh):
                 key, _, val = token.partition("=")
                 fields[key] = val
     if fields.get("kind") == "exact_d1":
-        return exact_d1(float(fields["p"]))
-    ks = [int(r[0]) for r in rows]
-    tail = float(fields.get("tail_mass", 0.0))
+        return exact_d1(_parse(float, fields.get("p"), "p"))
+    if any(len(r) != len(columns) for r in rows):
+        raise DomainError(f"law file rows must have the {len(columns)} columns {columns}")
+    ks = np.array([_parse(np.int64, r[0], "k") for r in rows], dtype=np.int64)
+    tail = _parse(float, fields.get("tail_mass", "0.0"), "tail_mass")
     if "count" in columns:
         # probabilities come from the exact counts, not the rounded prob column
-        ks = np.asarray(ks, dtype=np.int64)
         _check_support(ks)
-        try:
-            counts = np.asarray([int(r[2]) for r in rows], dtype=np.int64)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"counts must be integers: {exc}") from None
+        counts = np.array([_parse(np.int64, r[2], "count") for r in rows], dtype=np.int64)
         if np.any(counts < 0) or counts.sum() <= 0:
             raise DomainError("counts must be >= 0 with a positive total")
+        n_configs = _parse(int, fields.get("n_configs"), "n_configs")
         return TableLaw(ks=ks, probs=counts / float(counts.sum()), tail_mass=tail,
-                        counts=counts, n_configs=int(fields["n_configs"]))
-    return from_table(ks, [float(r[1]) for r in rows], tail)
+                        counts=counts, n_configs=n_configs)
+    return from_table(ks, [_parse(float, r[1], "prob") for r in rows], tail)

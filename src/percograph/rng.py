@@ -8,8 +8,8 @@ Two properties matter:
   exist, the order they are visited in, or any thread count, so raising
   the retention probability with the same seed can only open more edges.
 * ``derive_seed`` hashes an arbitrary tuple of integers into a fresh
-  64-bit stream key.  Replicates, overlay draws, and branching runs each
-  get their own derived key, so adding cells or replicates to an
+  64-bit stream key.  Replicates, overlay draws, and branching estimates
+  each get their own derived key, so adding cells or replicates to an
   experiment never perturbs the draws of existing ones.
 """
 

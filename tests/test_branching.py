@@ -1,4 +1,4 @@
-"""Typed branching exploration and its survival estimator."""
+"""Lockstep branching engine, its type-sum draw and the survival estimator."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,13 @@ import pytest
 from percograph import (
     estimate_survival,
     exact_d1,
+    from_table,
     point_mass,
     rho_of_type,
     simulate_progeny,
     solve_beta,
 )
-from percograph.branching import TypeSampler
+from percograph.branching import _type_sums, _type_table
 from percograph.errors import DomainError
 from percograph.rng import generator
 
@@ -40,16 +41,45 @@ def test_progeny_determinism():
     assert len(runs) > 1
 
 
-def test_type_sampler_marginal():
+def _draw_type_sums(dist, count, size, seed=123):
+    return _type_sums(generator(seed), np.full(size, count), *_type_table(dist))
+
+
+def test_type_sum_of_one_draw_has_the_law_marginal():
     dist = exact_d1(0.45)
-    sampler = TypeSampler(dist)
-    rng = generator(123)
-    draws = sampler.sample(rng, 200_000)
+    draws = _draw_type_sums(dist, 1, 200_000)
     for k in range(1, 9):
         frac = float(np.mean(draws == k))
         q = float(dist.pmf(k))
         se = np.sqrt(q * (1 - q) / draws.size)
         assert abs(frac - q) < 4 * se
+
+
+@pytest.mark.parametrize("count", [3, 40, 1000])
+def test_type_sum_moments_scale_with_count(count):
+    dist = exact_d1(0.45)
+    mean, var = dist.mean_size, dist.second_moment - dist.mean_size ** 2
+    draws = _draw_type_sums(dist, count, 100_000).astype(float)
+    dev = draws - draws.mean()
+    se_mean = np.sqrt(count * var / draws.size)
+    se_var = np.sqrt((np.mean(dev ** 4) - np.mean(dev ** 2) ** 2) / draws.size)
+    assert abs(draws.mean() - count * mean) < 4 * se_mean
+    assert abs(draws.var() - count * var) < 4 * se_var
+
+
+def test_type_sum_of_a_point_mass_is_exact():
+    counts = np.array([0, 1, 7, 123_456])
+    sums = _type_sums(generator(5), counts, *_type_table(point_mass(3)))
+    assert np.array_equal(sums, 3 * counts)
+
+
+def test_type_sum_skips_zero_probability_sizes():
+    # zero mass first, inside and last: only sizes 2 and 5 can be drawn
+    dist = from_table([1, 2, 3, 5, 8], [0.0, 0.5, 0.0, 0.5, 0.0])
+    draws = _draw_type_sums(dist, 1, 20_000)
+    assert set(np.unique(draws)) == {2, 5}
+    pairs = _draw_type_sums(dist, 2, 20_000)
+    assert set(np.unique(pairs)) == {4, 7, 10}
 
 
 def test_point_mass_total_progeny_mean():

@@ -121,9 +121,9 @@ README_THEORY_JSON = (
     '}\n'
 )
 README_BRANCH = (
-    '# percograph-csv/1 branching-survival | percograph branch --p0 --k 1 --c 2.0 --reps 2000 --seed 11 --max-particles 20000\n'
+    '# percograph-csv/1 branching-survival | percograph branch --p0 --k 1 --c 2.0 --reps 2000 --seed 11\n'
     'k,c,dist,reps,rho_hat,se,ci_lo,ci_hi,ambiguous_frac\n'
-    '1,2,exact_d1(p=0),2000,0.8025,0.00890207138817,0.785052260691,0.819947739309,0\n'
+    '1,2,exact_d1(p=0),2000,0.799,0.00896099882826,0.781436765031,0.816563234969,0\n'
 )
 README_PERCOLATE_HEAD = (
     '# percograph-csv/1 percolation-census | percograph percolate --d 1 --N 100 --p 0.3 --seed 7\n'
@@ -140,8 +140,7 @@ def test_readme_examples_exact_bytes(capsys):
         ("theory --d1-exact --p 0.3 --c 0.2 0.6 1.0", README_THEORY),
         ("theory --d1-exact --p 0.3 --c 0.2 0.6 1.0 --format json",
          README_THEORY_JSON),
-        ("branch --p0 --k 1 --c 2.0 --reps 2000 --seed 11 --max-particles 20000",
-         README_BRANCH),
+        ("branch --p0 --k 1 --c 2.0 --reps 2000 --seed 11", README_BRANCH),
     ]
     for argv, expected in examples:
         code, out, _ = _run(capsys, *argv.split())
@@ -280,7 +279,7 @@ def test_usage_error_without_dist_choice(capsys):
     assert "--p" in err
 
 
-def test_domain_error_exit_code(capsys):
+def test_domain_error_exit_code(tmp_path, capsys):
     code, _, err = _run(capsys, "theory", "--d1-exact", "--p", "1.5",
                         "--c", "0.2")
     assert code == 3
@@ -288,6 +287,13 @@ def test_domain_error_exit_code(capsys):
     code, _, err = _run(capsys, "percolate", "--d", "1", "--N", "20",
                         "--p", "-0.2")
     assert code == 3
+    # a malformed law file is outside input, not a crash
+    law = tmp_path / "law.csv"
+    law.write_text("# percograph-csv/1 cluster-dist\n# kind=table tail_mass=0.0\n"
+                   "k,prob\nabc,1.0\n")
+    code, _, err = _run(capsys, "theory", "--dist", str(law), "--c", "0.1")
+    assert code == 3
+    assert "law file k 'abc'" in err
 
 
 def test_dist_csv_round_trip_through_cli(tmp_path, capsys):

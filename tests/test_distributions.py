@@ -200,6 +200,26 @@ def test_csv_empirical_counts_are_validated(rows):
         from_csv(io.StringIO(EMPIRICAL_CSV.format(rows=rows)))
 
 
+LAW_HEAD = "# percograph-csv/1 cluster-dist\n"
+
+
+@pytest.mark.parametrize("text", [
+    "# kind=table tail_mass=0.0\nk,prob\nabc,0.5\n2,0.5",       # k not an integer
+    "# kind=table tail_mass=0.0\nk,prob\n1.5,0.5\n2,0.5",       # k not an integer
+    "# kind=table tail_mass=0.0\nk,prob\n1,abc\n2,0.5",         # prob not numeric
+    "# kind=table tail_mass=0.0\nk,prob\n1,nan\n2,1.0",         # prob nan
+    "# kind=table tail_mass=0.0\nk,prob\n1,0.5\n2",             # short row
+    "# kind=table tail_mass=abc\nk,prob\n1,0.5\n2,0.5",         # tail not numeric
+    "# kind=exact_d1\nk,prob",                                     # no p
+    "# kind=exact_d1 p=abc\nk,prob",                               # p not numeric
+    "# kind=empirical tail_mass=0.0\n# n_sites=6\nk,prob,count\n1,0.5,3\n2,0.5,3",
+], ids=["k_word", "k_fraction", "prob_word", "prob_nan", "short_row", "tail_word",
+        "exact_no_p", "exact_p_word", "empirical_no_n_configs"])
+def test_csv_malformed_law_file_is_a_domain_error(text):
+    with pytest.raises(DomainError):
+        from_csv(io.StringIO(LAW_HEAD + text + "\n"))
+
+
 def test_csv_round_trip_empirical():
     emp = from_empirical(np.array([1, 1, 1, 2, 2, 7]))
     buf = io.StringIO()
