@@ -24,7 +24,7 @@ caller can bound the censoring bias.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri  # normal quantile, bit for bit what norm.ppf returns
 
 from .errors import DomainError
 from .rng import STREAM_BRANCHING, generator
@@ -34,7 +34,7 @@ __all__ = ["ProgenyOutcome", "simulate_progeny", "SurvivalEstimate", "estimate_s
 # mass allowed beyond the truncated child-type table
 _TYPE_TAIL = 1e-8
 # two-sided normal quantile of the reported confidence interval
-_CI_Z = float(stats.norm.ppf(0.975))
+_CI_Z = float(ndtri(0.975))
 
 
 def _type_table(dist):

@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri  # normal quantile, bit for bit what norm.ppf returns
 
 from .distributions import exact_d1, from_empirical
 from .errors import CheckFailure, ConfigError, DomainError
@@ -239,7 +239,7 @@ class CellSummary:
         return float(x.std(ddof=1)) if x.size > 1 else 0.0
 
     def ci_half(self, name):
-        z = float(stats.norm.ppf(0.5 + self.ci_level / 2.0))
+        z = float(ndtri(0.5 + self.ci_level / 2.0))
         return z * self.std(name) / math.sqrt(self.samples[name].size)
 
     def percentile(self, name, q):

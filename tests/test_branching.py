@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from percograph import (
     estimate_survival,
@@ -12,7 +13,7 @@ from percograph import (
     simulate_progeny,
     solve_beta,
 )
-from percograph.branching import _type_sums, _type_table
+from percograph.branching import _CI_Z, _type_sums, _type_table
 from percograph.errors import DomainError
 from percograph.rng import generator
 
@@ -155,3 +156,8 @@ def test_ambiguous_fraction_counts_late_deaths():
 def test_estimate_survival_validation():
     with pytest.raises(DomainError):
         estimate_survival(1, 0.5, exact_d1(0.3), reps=0)
+
+
+def test_ci_quantile_is_the_normal_quantile_bit_for_bit():
+    # scipy.stats is the independent oracle; the package does not import it
+    assert _CI_Z == float(stats.norm.ppf(0.975))

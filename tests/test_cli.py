@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -346,3 +348,17 @@ def test_entry_point_installed():
     )
     assert proc.returncode == 0
     assert "percograph" in proc.stdout
+
+
+def test_package_import_does_not_load_scipy_stats():
+    # a fresh interpreter: this one may have scipy.stats loaded by other tests
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import percograph, percograph.cli, sys; "
+            "print(' '.join(sorted(m for m in sys.modules "
+            "if m == 'scipy.stats' or m.startswith('scipy.stats.'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

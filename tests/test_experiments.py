@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from percograph import (
     evaluate_checks,
@@ -20,6 +21,7 @@ from percograph import (
 )
 from percograph.errors import ConfigError, DomainError
 from percograph.experiments import (
+    CellSummary,
     concentration_check,
     estimate_cluster_law,
     write_per_k_csv,
@@ -157,6 +159,19 @@ def test_cell_statistics_shapes():
     assert cell.ci_half("c1_frac") >= cell.std("c1_frac") / math.sqrt(5)
     p95 = cell.percentile("c1_over_logn", 95)
     assert p95 >= cell.mean("c1_over_logn") - 1e-12
+
+
+@pytest.mark.parametrize("ci_level", [1e-12, 0.1, 0.5, 0.8, 0.9, 0.95, 0.975,
+                                      0.99, 0.999, 1.0 - 1e-12])
+def test_ci_half_uses_the_normal_quantile_bit_for_bit(ci_level):
+    # scipy.stats is the independent oracle; the package does not import it
+    # std is exactly 2 = sqrt(n) for these samples, so ci_half is z itself
+    x = np.array([3.0, -1.0, -1.0, -1.0])
+    cell = CellSummary(d=1, N=10, boundary="free", p=0.3, c=0.2, replicates=4,
+                       n_failed=0, ci_level=ci_level, theory=None,
+                       kappa_theory=0.7, samples={"x": x})
+    assert cell.std("x") == 2.0
+    assert cell.ci_half("x") == float(stats.norm.ppf(0.5 + ci_level / 2.0))
 
 
 def test_threads_do_not_change_results():
