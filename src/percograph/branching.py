@@ -69,8 +69,8 @@ def _grow(k, c, dist, reps, rng, max_particles, max_generations):
     k, c = int(k), float(c)
     if k < 1:
         raise DomainError(f"root type must be >= 1, got {k}")
-    if c < 0.0:
-        raise DomainError(f"branching density must be >= 0, got {c}")
+    if not 0.0 <= c < np.inf:
+        raise DomainError(f"branching density must be finite and >= 0, got {c}")
     ks, cond = _type_table(dist)
     n = np.ones(reps, dtype=np.int64)
     total = np.full(reps, k, dtype=np.int64)

@@ -2,9 +2,9 @@
 
 Subcommands: percolate, merge, theory, branch, experiment, check.
 Exit codes: 0 success, 1 failed acceptance checks, 2 usage or config
-errors, 3 numeric domain errors.  Output is CSV by default (stdout or
---output), with a JSON mirror behind --format json.  Reruns of the same
-invocation produce byte-identical output.
+errors, 3 numeric domain errors or solver non-convergence.  Output is
+CSV by default (stdout or --output), with a JSON mirror behind --format
+json.  Reruns of the same invocation produce byte-identical output.
 """
 
 import argparse
@@ -17,7 +17,7 @@ from importlib import resources
 
 from . import __version__, distributions, experiments
 from .branching import estimate_survival
-from .errors import CheckFailure, ConfigError, DomainError
+from .errors import CheckFailure, ConfigError, ConvergenceError, DomainError
 from .fileio import dump_json, fmt, write_csv
 from .lattice import build_geometry, cluster_census, sample_percolation
 from .merged import build_macro_graph, overlay_long_range, verify_correspondence
@@ -148,8 +148,7 @@ def _cmd_experiment(args, invocation):
     result, checks = experiments.run_experiment(
         config, out_dir=args.out_dir, check=args.check, invocation=invocation)
     if args.command == "experiment" and args.out_dir is None:
-        experiments.write_summary_csv(result.cells, sys.stdout,
-                                      config.giant_threshold, invocation)
+        experiments.write_summary_csv(result.cells, sys.stdout, invocation)
     if args.check and not _report_checks(checks):
         return 1
     return 0
@@ -237,6 +236,9 @@ def main(argv=None):
         return 2
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return 3
+    except ConvergenceError as exc:
+        print(f"convergence error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: configuration problems exit
-with 2, numeric domain violations with 3, failed acceptance checks with 1.
+with 2, numeric domain violations and solver non-convergence with 3,
+failed acceptance checks with 1.
 """
 
 

@@ -17,6 +17,7 @@ estimated first from pure percolation runs (no long-range edges) and
 then fed to the same solvers.
 """
 
+import itertools
 import json
 import math
 import os
@@ -24,8 +25,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri  # normal quantile, bit for bit what norm.ppf returns
 
+from .branching import _CI_Z
 from .distributions import exact_d1, from_empirical
 from .errors import CheckFailure, ConfigError, DomainError
 from .fileio import dump_json, write_csv
@@ -52,6 +53,10 @@ __all__ = [
 
 _METRICS = ("c1_frac", "c2_frac", "k_frac", "c1_over_logn", "n_long")
 
+# mean C1/n at or above this marks a cell as having a giant component, both
+# in the summary's `giant` column and in the sweep's crossing
+_GIANT_FRACTION = 0.05
+
 # seed stream stages
 _STAGE_PERC = 0
 _STAGE_OVERLAY = 1
@@ -76,23 +81,15 @@ class ExperimentConfig:
     boundary: str = "torus"
     replicates: int = 20
     base_seed: int = 0
-    ci_level: float = 0.95
     k_max_report: int = 20
     threads: int = 1
-    giant_threshold: float = 0.05
     estimation_replicates: int = 8
     checks: tuple = ()
-    output: tuple = (("summary", "summary.csv"), ("per_k", "per_k.csv"),
-                     ("json", "summary.json"))
-
-    def output_name(self, key):
-        return dict(self.output)[key]
 
 
 _CONFIG_KEYS = {
-    "d", "N", "boundary", "p", "c", "replicates", "base_seed", "ci_level",
-    "k_max_report", "threads", "giant_threshold", "estimation_replicates",
-    "checks", "output",
+    "d", "N", "boundary", "p", "c", "replicates", "base_seed",
+    "k_max_report", "threads", "estimation_replicates", "checks",
 }
 
 _CHECK_KEYS = {"N", "p", "c", "metric", "target", "op", "atol", "factor"}
@@ -101,15 +98,21 @@ _CHECK_METRICS = {"c1_frac_mean", "c2_frac_mean", "k_frac_mean",
 _CHECK_TARGETS = {"beta", "alpha", "kappa", "c_cr"}
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _as_number_list(value, name, kind=float):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         value = [value]
     if not isinstance(value, list) or not value:
         raise ConfigError(f"field '{name}': expected a number or non-empty list")
     out = []
     for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
+        if not _is_number(item):
             raise ConfigError(f"field '{name}': {item!r} is not a number")
+        if kind is int and not isinstance(item, int):
+            raise ConfigError(f"field '{name}': {item!r} is not an integer")
         out.append(kind(item))
     return tuple(out)
 
@@ -145,8 +148,12 @@ def load_config(source):
     if any(not 0.0 <= p <= 1.0 for p in p_values):
         raise ConfigError("field 'p': probabilities must lie in [0, 1]")
     c_values = _as_number_list(raw["c"], "c")
-    if any(c < 0.0 for c in c_values):
-        raise ConfigError("field 'c': densities must be >= 0")
+    if any(not 0.0 <= c < math.inf for c in c_values):
+        raise ConfigError("field 'c': densities must be finite and >= 0")
+    n_min = (2 * min(N_values) + 1) ** d
+    if max(c_values) > n_min:
+        raise ConfigError(f"field 'c': densities must not exceed the {n_min} "
+                          f"sites of the smallest box, got {max(c_values)!r}")
 
     boundary = raw.get("boundary", "torus")
     if boundary not in ("free", "torus"):
@@ -164,13 +171,6 @@ def load_config(source):
     threads = _int_field("threads", 1, 1)
     estimation_replicates = _int_field("estimation_replicates", 8, 1)
 
-    ci_level = raw.get("ci_level", 0.95)
-    if not isinstance(ci_level, (int, float)) or not 0.0 < ci_level < 1.0:
-        raise ConfigError(f"field 'ci_level': expected a level in (0, 1), got {ci_level!r}")
-    giant_threshold = raw.get("giant_threshold", 0.05)
-    if not isinstance(giant_threshold, (int, float)) or not 0.0 < giant_threshold < 1.0:
-        raise ConfigError("field 'giant_threshold': expected a fraction in (0, 1)")
-
     checks = raw.get("checks", [])
     if not isinstance(checks, list):
         raise ConfigError("field 'checks': expected a list")
@@ -185,8 +185,7 @@ def load_config(source):
         if metric not in _CHECK_METRICS:
             raise ConfigError(f"{where}: metric must be one of {sorted(_CHECK_METRICS)}")
         target = chk.get("target")
-        if not (isinstance(target, (int, float)) and not isinstance(target, bool)) \
-                and target not in _CHECK_TARGETS:
+        if not _is_number(target) and target not in _CHECK_TARGETS:
             raise ConfigError(f"{where}: target must be a number or one of "
                               f"{sorted(_CHECK_TARGETS)}")
         op = chk.get("op", "abs")
@@ -194,20 +193,26 @@ def load_config(source):
             raise ConfigError(f"{where}: op must be 'abs', 'le', or 'ge'")
         if op == "abs" and "atol" not in chk:
             raise ConfigError(f"{where}: op 'abs' needs an 'atol'")
-
-    output = raw.get("output", {})
-    if not isinstance(output, dict) or set(output) - {"summary", "per_k", "json"}:
-        raise ConfigError("field 'output': expected keys among summary/per_k/json")
-    out = {"summary": "summary.csv", "per_k": "per_k.csv", "json": "summary.json"}
-    out.update({k: str(v) for k, v in output.items()})
+        atol = chk.get("atol", 0.0)
+        if not _is_number(atol) or not 0.0 <= atol < math.inf:
+            raise ConfigError(f"{where}: 'atol' must be a finite number >= 0")
+        factor = chk.get("factor", 1.0)
+        if not _is_number(factor) or not math.isfinite(factor):
+            raise ConfigError(f"{where}: 'factor' must be a finite number")
+        if "N" in chk and (not isinstance(chk["N"], int) or isinstance(chk["N"], bool)):
+            raise ConfigError(f"{where}: 'N' must be an integer")
+        for key in ("p", "c"):
+            if key in chk and not _is_number(chk[key]):
+                raise ConfigError(f"{where}: '{key}' must be a number")
+        if not any(_selects(chk, *cell)
+                   for cell in itertools.product(N_values, p_values, c_values)):
+            raise ConfigError(f"{where}: selects no cell of the grid")
 
     return ExperimentConfig(
         d=d, N_values=N_values, p_values=p_values, c_values=c_values,
         boundary=boundary, replicates=replicates, base_seed=base_seed,
-        ci_level=ci_level, k_max_report=k_max_report, threads=threads,
-        giant_threshold=giant_threshold,
-        estimation_replicates=estimation_replicates,
-        checks=tuple(checks), output=tuple(sorted(out.items())),
+        k_max_report=k_max_report, threads=threads,
+        estimation_replicates=estimation_replicates, checks=tuple(checks),
     )
 
 
@@ -222,7 +227,6 @@ class CellSummary:
     c: float
     replicates: int
     n_failed: int
-    ci_level: float
     theory: object                     # TheoryPoint
     kappa_theory: float
     samples: dict = field(repr=False)  # metric name -> per-replicate array
@@ -239,8 +243,8 @@ class CellSummary:
         return float(x.std(ddof=1)) if x.size > 1 else 0.0
 
     def ci_half(self, name):
-        z = float(ndtri(0.5 + self.ci_level / 2.0))
-        return z * self.std(name) / math.sqrt(self.samples[name].size)
+        """Half-width of the 95% normal interval for the metric's mean."""
+        return _CI_Z * self.std(name) / math.sqrt(self.samples[name].size)
 
     def percentile(self, name, q):
         return float(np.percentile(self.samples[name], q))
@@ -277,9 +281,8 @@ def estimate_cluster_law(config, p, N):
     return from_empirical(censuses)
 
 
-def _cell_dist(config, p, N, dist):
-    if dist is not None:
-        return dist
+def _cluster_law(config, p, N):
+    """The exact law on the line, else the stage-1 plug-in estimate."""
     if config.d == 1:
         return exact_d1(p)
     return estimate_cluster_law(config, p, N)
@@ -336,7 +339,7 @@ def run_cell(config, p, c, N=None, dist=None):
     per_k_se = (nk_mat.std(axis=0, ddof=1) / math.sqrt(nk_mat.shape[0])
                 if nk_mat.shape[0] > 1 else np.zeros(kmax))
 
-    the_dist = _cell_dist(config, p, N, dist)
+    the_dist = dist if dist is not None else _cluster_law(config, p, N)
     point = theory_point(the_dist, c, d=config.d, p=p)
     kappa = the_dist.mean_inverse_size
     ks = np.arange(1, kmax + 1, dtype=np.int64)
@@ -345,7 +348,7 @@ def run_cell(config, p, c, N=None, dist=None):
     return CellSummary(
         d=config.d, N=N, boundary=config.boundary, p=p, c=c,
         replicates=config.replicates, n_failed=len(errors),
-        ci_level=config.ci_level, theory=point, kappa_theory=float(kappa),
+        theory=point, kappa_theory=float(kappa),
         samples=samples, per_k_ks=ks, per_k_mean=per_k_mean,
         per_k_se=per_k_se, per_k_mu=mu_k,
     )
@@ -369,7 +372,7 @@ class SweepResult:
     crossings: list
 
 
-def sweep(config, dist=None):
+def sweep(config):
     """Run the full (N, p, c) grid.
 
     For d >= 2 the plug-in law is estimated once per (N, p) slice and
@@ -380,14 +383,14 @@ def sweep(config, dist=None):
     cells, crossings = [], []
     for N in config.N_values:
         for p in config.p_values:
-            slice_dist = _cell_dist(config, p, N, dist)
+            slice_dist = _cluster_law(config, p, N)
             c_sorted = tuple(sorted(config.c_values))
             slice_cells = [run_cell(config, p, c, N, slice_dist) for c in c_sorted]
             cells.extend(slice_cells)
             ccr = slice_cells[0].theory.c_cr
             cross = next(
                 (cell.c for cell in slice_cells
-                 if cell.mean("c1_frac") >= config.giant_threshold), None)
+                 if cell.mean("c1_frac") >= _GIANT_FRACTION), None)
             step = (max(c_sorted) - min(c_sorted)) / max(1, len(c_sorted) - 1)
             within = (cross is not None and abs(cross - ccr) <= step + 1e-12)
             crossings.append(Crossing(N=N, p=p, c_at_crossing=cross, c_cr=ccr,
@@ -413,7 +416,7 @@ class ScalingResult:
     rows: list
 
 
-def subcritical_scaling(config, dist=None):
+def subcritical_scaling(config):
     """Largest-component log law across the N grid.
 
     Every (p, c) cell must be strictly subcritical; for each one the 95th
@@ -423,7 +426,7 @@ def subcritical_scaling(config, dist=None):
     rows = []
     for p in config.p_values:
         for c in config.c_values:
-            base_dist = _cell_dist(config, p, max(config.N_values), dist)
+            base_dist = _cluster_law(config, p, max(config.N_values))
             point = theory_point(base_dist, c, d=config.d, p=p)
             if point.phase != "subcritical" or point.alpha is None:
                 raise DomainError(
@@ -478,7 +481,7 @@ class CheckResult:
 
 
 def _resolve_target(cell, target):
-    if isinstance(target, (int, float)) and not isinstance(target, bool):
+    if _is_number(target):
         return float(target)
     if target == "beta":
         return cell.theory.beta
@@ -494,15 +497,17 @@ def _resolve_target(cell, target):
     raise ConfigError(f"unknown check target {target!r}")
 
 
+def _selects(chk, N, p, c):
+    """Whether every N/p/c selector a check sets names this cell."""
+    return (("N" not in chk or N == chk["N"])
+            and ("p" not in chk or abs(p - chk["p"]) <= 1e-12)
+            and ("c" not in chk or abs(c - chk["c"]) <= 1e-12))
+
+
 def _find_cell(cells, chk):
     for cell in cells:
-        if "p" in chk and abs(cell.p - chk["p"]) > 1e-12:
-            continue
-        if "c" in chk and abs(cell.c - chk["c"]) > 1e-12:
-            continue
-        if "N" in chk and cell.N != chk["N"]:
-            continue
-        return cell
+        if _selects(chk, cell.N, cell.p, cell.c):
+            return cell
     raise ConfigError(f"check matches no cell: {chk!r}")
 
 
@@ -550,7 +555,7 @@ SUMMARY_COLUMNS = [
 PER_K_COLUMNS = ["d", "N", "p", "c", "k", "nk_frac_mean", "nk_frac_se", "mu_theory"]
 
 
-def _summary_row(cell, threshold):
+def _summary_row(cell):
     t = cell.theory
     return [
         cell.d, cell.N, cell.boundary, cell.p, cell.c, cell.replicates,
@@ -559,12 +564,12 @@ def _summary_row(cell, threshold):
         cell.mean("c2_frac"), cell.mean("k_frac"), cell.std("k_frac"),
         cell.ci_half("k_frac"), cell.mean("c1_over_logn"),
         cell.percentile("c1_over_logn", 95), cell.mean("n_long"),
-        cell.mean("c1_frac") >= threshold,
+        cell.mean("c1_frac") >= _GIANT_FRACTION,
     ]
 
 
-def write_summary_csv(cells, fh, threshold=0.05, invocation=None):
-    rows = [_summary_row(cell, threshold) for cell in cells]
+def write_summary_csv(cells, fh, invocation=None):
+    rows = [_summary_row(cell) for cell in cells]
     write_csv(fh, "experiment-summary", SUMMARY_COLUMNS, rows, invocation)
 
 
@@ -584,11 +589,11 @@ def run_experiment(config, out_dir=None, check=False, invocation=None):
     result = sweep(config)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, config.output_name("summary")), "w") as fh:
-            write_summary_csv(result.cells, fh, config.giant_threshold, invocation)
-        with open(os.path.join(out_dir, config.output_name("per_k")), "w") as fh:
+        with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
+            write_summary_csv(result.cells, fh, invocation)
+        with open(os.path.join(out_dir, "per_k.csv"), "w") as fh:
             write_per_k_csv(result.cells, fh, invocation)
-        with open(os.path.join(out_dir, config.output_name("json")), "w") as fh:
+        with open(os.path.join(out_dir, "summary.json"), "w") as fh:
             dump_json({
                 "cells": [cell.as_dict() for cell in result.cells],
                 "crossings": [vars(x) for x in result.crossings],

@@ -157,7 +157,7 @@ def overlay_long_range(base, c, seed):
     """
     c = float(c)
     n = int(base.geometry.n_vertices)
-    if c < 0.0 or c > n:
+    if not 0.0 <= c <= n:
         raise DomainError(f"long-range density must lie in [0, n={n}], got {c}")
     rng = generator(base.seed, seed, STREAM_OVERLAY)
     n_pairs = n * (n - 1) // 2

@@ -81,7 +81,7 @@ def phase_of(dist, c):
     return "subcritical" if c < ccr else "supercritical"
 
 
-def solve_beta(dist, c, tol=None, max_iter=_MAX_FIXED_POINT_ITER):
+def solve_beta(dist, c, tol=None):
     """Giant-component fraction: maximal root of beta = 1 - E e^(-c beta |C|).
 
     Iterates the right-hand side from beta = 1; the iterates decrease
@@ -98,13 +98,13 @@ def solve_beta(dist, c, tol=None, max_iter=_MAX_FIXED_POINT_ITER):
     ks, pmf, _ = dist.materialize(0.0, tol * 1e-2)
     kf = ks.astype(float)
     beta = 1.0
-    for _ in range(max_iter):
+    for _ in range(_MAX_FIXED_POINT_ITER):
         nxt = 1.0 - float(np.exp(-c * beta * kf) @ pmf)
         if abs(nxt - beta) < tol:
             return min(max(nxt, 0.0), 1.0)
         beta = nxt
     raise ConvergenceError(
-        f"giant-fraction iteration did not settle within {max_iter} steps",
+        f"giant-fraction iteration did not settle within {_MAX_FIXED_POINT_ITER} steps",
         last=beta, residual=abs(nxt - beta),
     )
 
@@ -200,7 +200,7 @@ class AzResult(NamedTuple):
     reason: str
 
 
-def solve_A_z(dist, c, z, tol=None, max_iter=_MAX_FIXED_POINT_ITER):
+def solve_A_z(dist, c, z, tol=None):
     """Component generating series by fixed-point iteration.
 
     Iterates A <- (1/kappa) E[z^|C| e^(c|C|(kappa A - 1))] from the
@@ -228,7 +228,7 @@ def solve_A_z(dist, c, z, tol=None, max_iter=_MAX_FIXED_POINT_ITER):
     kappa = dist.mean_inverse_size
     a = 1.0 / kappa
     log_z = math.log(z)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_FIXED_POINT_ITER + 1):
         rate = log_z + c * (kappa * a - 1.0)
         if rate >= zeta:
             return AzResult(False, math.nan, it, "left finiteness domain")
@@ -243,7 +243,7 @@ def solve_A_z(dist, c, z, tol=None, max_iter=_MAX_FIXED_POINT_ITER):
         if abs(nxt - a) < tol:
             return AzResult(True, nxt, it, "converged")
         a = nxt
-    return AzResult(False, a, max_iter, "iteration cap reached")
+    return AzResult(False, a, _MAX_FIXED_POINT_ITER, "iteration cap reached")
 
 
 @dataclass(frozen=True)
@@ -276,6 +276,8 @@ def theory_point(dist, c, d=None, p=None, tol=None):
     beta is 0 off the supercritical phase; the subcritical constants are
     None unless the point is strictly subcritical.
     """
+    if not 0.0 <= c < math.inf:
+        raise DomainError(f"long-range density must be finite and >= 0, got {c}")
     ccr = c_critical(dist)
     phase = phase_of(dist, c)
     beta = solve_beta(dist, c, tol=tol) if phase == "supercritical" else 0.0

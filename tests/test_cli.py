@@ -275,6 +275,22 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_invalid_config_fails_before_any_run(tmp_path, capsys):
+    # json writes NaN, which json.load reads back; the bad check names no cell
+    for mutation in ({"c": math.nan}, {"giant_threshold": 0.05},
+                     {"checks": [{"metric": "c1_frac_mean", "target": 0.1,
+                                  "atol": 0.1, "c": 0.3}]}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"d": 1, "N": 50, "p": 0.3, "c": 0.2} | mutation))
+        out_dir = tmp_path / "out"
+        code, out, err = _run(capsys, "experiment", "--config", str(path),
+                              "--out-dir", str(out_dir), "--check")
+        assert code == 2, mutation
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert out == ""
+        assert not out_dir.exists()
+
+
 def test_usage_error_without_dist_choice(capsys):
     code, _, err = _run(capsys, "theory", "--d1-exact", "--c", "0.2")
     assert code == 2
@@ -296,6 +312,26 @@ def test_domain_error_exit_code(tmp_path, capsys):
     code, _, err = _run(capsys, "theory", "--dist", str(law), "--c", "0.1")
     assert code == 3
     assert "law file k 'abc'" in err
+    # densities that are negative or not finite
+    for argv in (["merge", "--d", "1", "--N", "100", "--p", "0.3", "--c", "nan",
+                  "--seed", "1"],
+                 ["branch", "--d1-exact", "--p", "0.3", "--k", "1", "--c", "nan",
+                  "--reps", "10"],
+                 ["theory", "--d1-exact", "--p", "0.3", "--c", "-1"],
+                 ["theory", "--d1-exact", "--p", "0.3", "--c", "nan"]):
+        code, out, err = _run(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert err.startswith("domain error: ") and "density" in err
+
+
+def test_convergence_error_exit_code(capsys):
+    # next to c_cr = 7/13 the giant-fraction iteration exhausts its cap
+    code, out, err = _run(capsys, "theory", "--d1-exact", "--p", "0.3",
+                          "--c", "0.5384616")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("convergence error: ") and err.count("\n") == 1
 
 
 def test_dist_csv_round_trip_through_cli(tmp_path, capsys):

@@ -43,7 +43,9 @@ def test_load_config_defaults_and_lists():
     assert cfg.p_values == (0.1, 0.2)
     assert cfg.c_values == (0.5,)
     assert cfg.boundary == "torus"
-    assert cfg.output_name("summary") == "summary.csv"
+
+
+_CHECK = {"metric": "c1_frac_mean", "target": 0.1, "atol": 0.01}
 
 
 @pytest.mark.parametrize("mutation,fragment", [
@@ -55,15 +57,34 @@ def test_load_config_defaults_and_lists():
     ({"c": -0.1}, "'c'"),
     ({"boundary": "open"}, "'boundary'"),
     ({"replicates": 0}, "'replicates'"),
-    ({"ci_level": 1.0}, "'ci_level'"),
-    ({"giant_threshold": 0.0}, "'giant_threshold'"),
+    # retired keys are unknown fields, even at their old defaults
+    ({"ci_level": 0.95}, "'ci_level'"),
+    ({"giant_threshold": 0.05}, "'giant_threshold'"),
     ({"threads": "four"}, "'threads'"),
     ({"typo_field": 1}, "typo_field"),
     ({"checks": [{"metric": "bogus", "target": 1}]}, "metric"),
     ({"checks": [{"metric": "c1_frac_mean", "target": "gamma"}]}, "target"),
     ({"checks": [{"metric": "c1_frac_mean", "target": 0.1, "op": "lt"}]}, "op"),
     ({"checks": [{"metric": "c1_frac_mean", "target": 0.1}]}, "atol"),
-    ({"output": {"summary": "s.csv", "bogus": "x"}}, "output"),
+    ({"output": {"summary": "summary.csv"}}, "output"),
+    ({"ci_level": 0.95, "giant_threshold": 0.05, "output": {}},
+     "unknown config fields: ['ci_level', 'giant_threshold', 'output']"),
+    ({"c": math.nan}, "'c'"),
+    ({"c": [0.2, math.inf]}, "'c'"),
+    ({"N": 1, "c": 5.0}, "smallest box"),
+    ({"N": [10, 2], "c": 25.5}, "smallest box"),
+    ({"N": 10.7}, "'N'"),
+    ({"checks": [_CHECK | {"atol": "x"}]}, "'atol'"),
+    ({"checks": [_CHECK | {"atol": -0.1}]}, "'atol'"),
+    ({"checks": [_CHECK | {"atol": math.inf}]}, "'atol'"),
+    ({"checks": [_CHECK | {"factor": math.nan}]}, "'factor'"),
+    ({"checks": [_CHECK | {"factor": "2"}]}, "'factor'"),
+    ({"checks": [_CHECK | {"N": 50.0}]}, "'N'"),
+    ({"checks": [_CHECK | {"p": "a"}]}, "'p'"),
+    ({"checks": [_CHECK | {"c": None}]}, "'c'"),
+    ({"checks": [_CHECK | {"p": 0.3 + 1e-9}]}, "no cell"),
+    ({"checks": [_CHECK | {"c": 0.5}]}, "no cell"),
+    ({"checks": [_CHECK | {"N": 60}]}, "no cell"),
 ])
 def test_load_config_rejects(mutation, fragment):
     raw = {"d": 1, "N": 50, "p": 0.3, "c": 0.2}
@@ -161,17 +182,15 @@ def test_cell_statistics_shapes():
     assert p95 >= cell.mean("c1_over_logn") - 1e-12
 
 
-@pytest.mark.parametrize("ci_level", [1e-12, 0.1, 0.5, 0.8, 0.9, 0.95, 0.975,
-                                      0.99, 0.999, 1.0 - 1e-12])
-def test_ci_half_uses_the_normal_quantile_bit_for_bit(ci_level):
+def test_ci_half_uses_the_normal_quantile_bit_for_bit():
     # scipy.stats is the independent oracle; the package does not import it
     # std is exactly 2 = sqrt(n) for these samples, so ci_half is z itself
     x = np.array([3.0, -1.0, -1.0, -1.0])
     cell = CellSummary(d=1, N=10, boundary="free", p=0.3, c=0.2, replicates=4,
-                       n_failed=0, ci_level=ci_level, theory=None,
-                       kappa_theory=0.7, samples={"x": x})
+                       n_failed=0, theory=None, kappa_theory=0.7,
+                       samples={"x": x})
     assert cell.std("x") == 2.0
-    assert cell.ci_half("x") == float(stats.norm.ppf(0.5 + ci_level / 2.0))
+    assert cell.ci_half("x") == float(stats.norm.ppf(0.975))
 
 
 def test_threads_do_not_change_results():
