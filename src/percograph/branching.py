@@ -35,6 +35,8 @@ __all__ = ["ProgenyOutcome", "simulate_progeny", "SurvivalEstimate", "estimate_s
 _TYPE_TAIL = 1e-8
 # two-sided normal quantile of the reported confidence interval
 _CI_Z = float(ndtri(0.975))
+# largest mean numpy's Generator.poisson accepts ("lam value too large")
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 
 
 def _type_table(dist):
@@ -79,7 +81,11 @@ def _grow(k, c, dist, reps, rng, max_particles, max_generations):
     live = np.arange(reps)
     g = total.copy()
     while live.size:
-        count = rng.poisson(c * g)
+        lam = c * g
+        if lam.max() > _POISSON_LAM_MAX:
+            raise DomainError(f"branching density {c} gives a Poisson offspring mean of "
+                              f"{lam.max():.3g}, past the sampler's limit")
+        count = rng.poisson(lam)
         born = count > 0
         live, count = live[born], count[born]
         g = _type_sums(rng, count, ks, cond)

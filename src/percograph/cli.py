@@ -98,7 +98,7 @@ def _cmd_merge(args, invocation):
 def _cmd_theory(args, invocation):
     dist = _resolve_dist(args)
     p_meta = args.p if args.d1_exact else (0.0 if args.p0 else None)
-    points = [theory_point(dist, c, p=p_meta, tol=args.tol) for c in args.c]
+    points = [theory_point(dist, c, p=p_meta) for c in args.c]
     rows = [[getattr(pt, col) for col in THEORY_COLUMNS] for pt in points]
     _emit(args, invocation, "theory-points", THEORY_COLUMNS, rows)
     return 0
@@ -142,7 +142,8 @@ def _cmd_experiment(args, invocation):
         try:
             threads = int(os.environ["PERCOGRAPH_THREADS"])
         except ValueError:
-            threads = 1
+            raise ConfigError("PERCOGRAPH_THREADS must be an integer, got "
+                              f"{os.environ['PERCOGRAPH_THREADS']!r}") from None
     if threads is not None:
         config = dataclasses.replace(config, threads=max(1, threads))
     result, checks = experiments.run_experiment(
@@ -188,7 +189,6 @@ def build_parser():
     sub = subs.add_parser("theory", help="solve phase-diagram quantities")
     _add_dist_args(sub)
     sub.add_argument("--c", type=float, nargs="+", required=True)
-    sub.add_argument("--tol", type=float, default=None)
     _add_output_args(sub)
     sub.set_defaults(func=_cmd_theory)
 

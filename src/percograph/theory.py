@@ -2,23 +2,23 @@
 
 Given the cluster-size law of the underlying percolation and the
 long-range edge density c, these routines locate the phase boundary and
-solve the fixed-point equations that govern both phases:
+solve the scalar equations that govern both phases (m1 = E|C|):
 
-* critical curve: the giant component appears exactly when
-  c * E|C| > 1, so c_cr = 1 / E|C| (on the line, (1-p)/(1+p));
+* critical curve: the giant component appears exactly when c * m1 > 1,
+  so c_cr = 1 / m1 (on the line, (1-p)/(1+p));
 * supercritical: the giant fraction is the maximal root of
   beta = 1 - E exp(-c * beta * |C|);
 * subcritical: the largest component is alpha * log(box size) to leading
-  order, where 1/alpha = c + c*y - E[c * exp(c|C|y)] at the root y of
-  E[c|C| * exp(c|C|y)] = 1; the same root gives the convergence radius
-  z0 = exp(c * (1 + y - E exp(c|C|y))) of the component generating
-  series, and alpha = 1/log(z0).
+  order, where 1/alpha = c [y (1 - c m1) - E(expm1(x) - x)], x = c y |C|,
+  at the root y of E[c|C| e^(c|C|y)] = 1; z0 = e^(1/alpha) is the
+  convergence radius of the component generating series A(z).
 
-All expectations go through the law's ``expect`` with explicit
-growth-rate declarations, so tail truncation is certified by the
-distribution layer rather than improvised per solver.  The law also
-supplies each solver's default tolerance (``default_tol``) and the rate
-at which its expectations diverge (``divergence_rate``).
+Each is the root of one scalar equation, written to keep its precision
+next to c_cr and found by Brent's method on a sign-checked bracket.
+Expectations go through the law's ``expect`` with declared growth rates,
+so the distribution layer certifies tail truncation; the law also
+supplies the truncation target (``default_tol``) and the rate at which
+its expectations diverge (``divergence_rate``).
 """
 
 import math
@@ -26,9 +26,9 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import bisect
+from scipy.optimize import brentq
 
-from .errors import ConvergenceError, DivergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "CRITICAL_BAND",
@@ -53,7 +53,27 @@ CRITICAL_BAND = 1e-9
 # Keep declared growth rates at least this fraction away from the tail rate.
 _RATE_GAP = 0.02
 
-_MAX_FIXED_POINT_ITER = 100_000
+
+def _density(c):
+    """c as a float, checked to be a finite long-range density >= 0."""
+    c = float(c)
+    if not 0.0 <= c < math.inf:
+        raise DomainError(f"long-range density must be finite and >= 0, got {c}")
+    return c
+
+
+def _root(f, lo, hi, what):
+    """Root of f in [lo, hi] and the number of calls to f.  Brent's method
+    runs to four ulps of the root (the absolute tolerance is far below
+    every root), on a bracket whose ends must not share a sign."""
+    f_lo, f_hi = f(lo), f(hi)
+    if not f_lo * f_hi <= 0.0:  # also rejects nan
+        raise DomainError(f"{what}: f({lo:.6g}) = {f_lo:.6g}, f({hi:.6g}) = {f_hi:.6g}")
+    x, info = brentq(f, lo, hi, xtol=1e-300, full_output=True, disp=False)
+    if not info.converged:
+        raise ConvergenceError(f"{what}: Brent's method stopped ({info.flag})",
+                               last=x, residual=f(x))
+    return x, info.function_calls + 2
 
 
 def c_critical(dist):
@@ -84,29 +104,18 @@ def phase_of(dist, c):
 def solve_beta(dist, c, tol=None):
     """Giant-component fraction: maximal root of beta = 1 - E e^(-c beta |C|).
 
-    Iterates the right-hand side from beta = 1; the iterates decrease
-    monotonically to the maximal fixed point.  Returns 0.0 at and below
-    the critical density.
+    The root of g(b) = -E expm1(-c b |C|) - b on [1e-300, 1]: g is concave
+    with g(0) = 0 and g(1) < 0, and g > 0 near 0 exactly when c > c_cr.
+    Returns 0.0 at and below the critical density.
     """
-    c = float(c)
-    if c < 0.0:
-        raise DomainError(f"long-range density must be >= 0, got {c}")
+    c = _density(c)
     if tol is None:
         tol = dist.default_tol
     if c <= c_critical(dist) + CRITICAL_BAND:
         return 0.0
     ks, pmf, _ = dist.materialize(0.0, tol * 1e-2)
-    kf = ks.astype(float)
-    beta = 1.0
-    for _ in range(_MAX_FIXED_POINT_ITER):
-        nxt = 1.0 - float(np.exp(-c * beta * kf) @ pmf)
-        if abs(nxt - beta) < tol:
-            return min(max(nxt, 0.0), 1.0)
-        beta = nxt
-    raise ConvergenceError(
-        f"giant-fraction iteration did not settle within {_MAX_FIXED_POINT_ITER} steps",
-        last=beta, residual=abs(nxt - beta),
-    )
+    return _root(lambda b: -float(np.expm1(-c * b * ks) @ pmf) - b,
+                 1e-300, 1.0, "giant fraction")[0]
 
 
 def rho_of_type(x, c, beta):
@@ -120,58 +129,51 @@ class AlphaSolution(NamedTuple):
     z0: float
 
 
+def _tangent_root(dist, c, tol):
+    """Root y of h(y) = (c m1 - 1) + E[c|C| expm1(c y |C|)] = E[c|C| e^(c|C|y)] - 1,
+    increasing in y.  Above c_cr, h(0) > 0 and h(-1) <= 1/e - 1 bracket it.
+    Below, the upper end doubles from 1 while c*y stays below the tail
+    rate, so every expectation stays summable."""
+    excess = c * dist.mean_size - 1.0
+
+    def h(y):
+        val, _ = dist.expect(lambda k: c * k * np.expm1(c * y * k),
+                             growth_rate=max(c * y, 0.0), tol=tol * 1e-2)
+        return excess + val
+
+    if excess > 0.0:
+        return _root(h, -1.0, 0.0, "tangent root")[0]
+    zeta = dist.divergence_rate
+    y_cap = math.inf if math.isinf(zeta) else zeta * (1.0 - _RATE_GAP) / c
+    hi = min(1.0, y_cap * 0.5)
+    while h(hi) < 0.0:
+        if hi >= y_cap:
+            raise DomainError("search for the subcritical root left the finiteness "
+                              f"domain (c*y approaching the tail rate {zeta:.6g})")
+        hi = min(hi * 2.0, y_cap)
+    return _root(h, 0.0, hi, "tangent root")[0]
+
+
 def solve_alpha(dist, c, tol=None):
     """Subcritical log-law constant.
 
-    Solves E[c|C| e^(c|C|y)] = 1 for y by bracketed bisection (the left
-    side is strictly increasing in y), then
-    alpha = 1 / (c + c*y - E[c e^(c|C|y)]) and z0 = e^(1/alpha).
-    Requires c strictly below the critical density; the bracket for y is
-    confined to c*y < zeta so every expectation stays summable.
+    y_root solves E[c|C| e^(c|C|y)] = 1; then 1/alpha =
+    c [y (1 - c m1) - E(expm1(x) - x)] with x = c y |C|, both terms of
+    order (c_cr - c)^2, and z0 = e^(1/alpha).  Requires 0 < c < c_cr.
     """
-    c = float(c)
+    c = _density(c)
     if tol is None:
         tol = dist.default_tol
-    if c <= 0.0:
-        raise DomainError(f"long-range density must be > 0, got {c}")
-    if c >= c_critical(dist) - CRITICAL_BAND:
-        raise DomainError(
-            f"subcritical constant needs c < c_cr = {c_critical(dist):.6g}, got {c}"
-        )
-
-    zeta = dist.divergence_rate
-    y_cap = math.inf if math.isinf(zeta) else zeta * (1.0 - _RATE_GAP) / c
-
-    def h(y):
-        val, _ = dist.expect(lambda k: c * k * np.exp(c * y * k),
-                             growth_rate=c * y, tol=tol * 1e-2)
-        return val - 1.0
-
-    lo, hi = 0.0, min(1.0, y_cap * 0.5) if math.isfinite(y_cap) else 1.0
-    while h(hi) < 0.0:
-        if hi >= y_cap:
-            raise DomainError(
-                "search for the subcritical root left the finiteness domain "
-                f"(c*y approaching the tail rate {zeta:.6g})"
-            )
-        hi = min(hi * 2.0, y_cap)
-    y = float(bisect(h, lo, hi, xtol=1e-14, maxiter=300))
-    residual = h(y)
-    if abs(residual) > max(tol, 1e-9):
-        raise ConvergenceError("subcritical root residual too large",
-                               last=y, residual=residual)
-
-    e_exp, _ = dist.expect(lambda k: np.exp(c * y * k),
-                           growth_rate=c * y, tol=tol * 1e-2)
-    log_z0 = c * (1.0 + y - e_exp)
-    if log_z0 <= 0.0:
-        raise DomainError("degenerate subcritical solution: log z0 <= 0")
-    alpha = 1.0 / (c + c * y - c * e_exp)
-    z0 = math.exp(log_z0)
-    if abs(alpha - 1.0 / math.log(z0)) > max(tol, 1e-9) * abs(alpha):
-        raise ConvergenceError("alpha and 1/log z0 disagree",
-                               last=alpha, residual=alpha - 1.0 / math.log(z0))
-    return AlphaSolution(y_root=y, alpha=alpha, z0=z0)
+    if not 0.0 < c < c_critical(dist) - CRITICAL_BAND:
+        raise DomainError(f"subcritical constant needs 0 < c < c_cr = "
+                          f"{c_critical(dist):.6g}, got {c}")
+    y = _tangent_root(dist, c, tol)
+    curvature, _ = dist.expect(lambda k: np.expm1(c * y * k) - c * y * k,
+                               growth_rate=c * y, tol=tol * 1e-2)
+    inv_alpha = c * (y * (1.0 - c * dist.mean_size) - curvature)
+    if not inv_alpha > 0.0:
+        raise DomainError(f"degenerate subcritical solution: 1/alpha = {inv_alpha!r}")
+    return AlphaSolution(y_root=y, alpha=1.0 / inv_alpha, z0=math.exp(inv_alpha))
 
 
 def beta_derivative_at_cr(dist):
@@ -201,49 +203,45 @@ class AzResult(NamedTuple):
 
 
 def solve_A_z(dist, c, z, tol=None):
-    """Component generating series by fixed-point iteration.
+    """Component generating series A(z): the smallest root of
+    F(A) = (1/kappa) E[z^|C| e^(c|C|(kappa A - 1))] - A, kappa = E(1/|C|).
 
-    Iterates A <- (1/kappa) E[z^|C| e^(c|C|(kappa A - 1))] from the
-    initial value A = 1/kappa.  The iterates increase monotonically for
-    z >= 1; they settle exactly when z does not exceed the convergence
-    radius z0 from :func:`solve_alpha`, and blow up past it, which is
-    reported as a non-converged result rather than an exception.
+    F is convex, F(0) > 0, and F' = 0 at A_tan = (1 + y - log(z)/c)/kappa,
+    y the root behind :func:`solve_alpha`.  So the series converges, to
+    the root on [0, A_tan], exactly when A_tan > 0 and F(A_tan) <= 0
+    (below c_cr: z <= z0); otherwise the result is not converged.  At
+    c = 0, A(z) = E z^|C| / kappa.  ``iterations`` counts calls of F.
 
     z itself must satisfy z < e^zeta (log z below the tail decay rate),
-    otherwise even the first expectation is infinite and a DomainError is
-    raised.
+    otherwise even E z^|C| is infinite and a DomainError is raised.
     """
-    c = float(c)
+    c = _density(c)
     z = float(z)
     if tol is None:
         tol = dist.default_tol
-    if z <= 0.0:
+    if not z > 0.0:
         raise DomainError(f"generating-series argument must be > 0, got {z}")
     zeta = dist.zeta_bound()
-    if math.log(z) >= zeta:
+    log_z = math.log(z)
+    if log_z >= zeta:
         raise DomainError(
             f"z = {z:.6g} outside the finiteness domain z < e^zeta = "
             f"{math.exp(zeta):.6g}"
         )
     kappa = dist.mean_inverse_size
-    a = 1.0 / kappa
-    log_z = math.log(z)
-    for it in range(1, _MAX_FIXED_POINT_ITER + 1):
+
+    def F(a):
         rate = log_z + c * (kappa * a - 1.0)
-        if rate >= zeta:
-            return AzResult(False, math.nan, it, "left finiteness domain")
-        try:
-            val, _ = dist.expect(lambda k: np.exp(rate * k),
-                                 growth_rate=rate, tol=tol * 1e-2)
-        except DivergenceError:
-            return AzResult(False, math.nan, it, "left finiteness domain")
-        nxt = val / kappa
-        if not math.isfinite(nxt) or nxt > 1e12:
-            return AzResult(False, math.nan, it, "iterates blew up")
-        if abs(nxt - a) < tol:
-            return AzResult(True, nxt, it, "converged")
-        a = nxt
-    return AzResult(False, a, _MAX_FIXED_POINT_ITER, "iteration cap reached")
+        val, _ = dist.expect(lambda k: np.exp(rate * k), growth_rate=rate, tol=tol * 1e-2)
+        return val / kappa - a
+
+    if c == 0.0:
+        return AzResult(True, F(0.0), 1, "converged")
+    a_tan = (1.0 + _tangent_root(dist, c, tol) - log_z / c) / kappa
+    if a_tan <= 0.0 or F(a_tan) > 0.0:
+        return AzResult(False, math.nan, int(a_tan > 0.0), "beyond the convergence radius")
+    a, calls = _root(F, 0.0, a_tan, "generating series")
+    return AzResult(True, a, calls + 1, "converged")
 
 
 @dataclass(frozen=True)
@@ -270,23 +268,22 @@ THEORY_COLUMNS = ["d", "p", "c", "c_cr", "phase", "beta", "alpha",
                   "y_root", "z0", "beta_prime_cr", "dist_tag"]
 
 
-def theory_point(dist, c, d=None, p=None, tol=None):
+def theory_point(dist, c, d=None, p=None):
     """Solve every quantity of the phase diagram at one (dist, c) point.
 
     beta is 0 off the supercritical phase; the subcritical constants are
     None unless the point is strictly subcritical.
     """
-    if not 0.0 <= c < math.inf:
-        raise DomainError(f"long-range density must be finite and >= 0, got {c}")
+    c = _density(c)
     ccr = c_critical(dist)
     phase = phase_of(dist, c)
-    beta = solve_beta(dist, c, tol=tol) if phase == "supercritical" else 0.0
+    beta = solve_beta(dist, c) if phase == "supercritical" else 0.0
     alpha = y_root = z0 = None
     if phase == "subcritical" and c > 0.0:
-        sol = solve_alpha(dist, c, tol=tol)
+        sol = solve_alpha(dist, c)
         alpha, y_root, z0 = sol.alpha, sol.y_root, sol.z0
     return TheoryPoint(
-        c=float(c), c_cr=ccr, phase=phase, beta=beta,
+        c=c, c_cr=ccr, phase=phase, beta=beta,
         beta_prime_cr=beta_derivative_at_cr(dist),
         alpha=alpha, y_root=y_root, z0=z0,
         d=d, p=p, dist_tag=dist.tag(),

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from percograph import cli
 from percograph.cli import main
+from percograph.errors import ConvergenceError
 from percograph.fileio import read_csv
 
 
@@ -72,8 +74,8 @@ README_THEORY = (
     '# percograph-csv/1 theory-points | percograph theory --d1-exact --p 0.3 --c 0.2 0.6 1.0\n'
     'd,p,c,c_cr,phase,beta,alpha,y_root,z0,beta_prime_cr,dist_tag\n'
     ',0.3,0.2,0.538461538462,subcritical,0,7.77455345211,1.68449025886,1.13726328689,2.74111041797,exact_d1(p=0.3)\n'
-    ',0.3,0.6,0.538461538462,supercritical,0.149398868911,,,,2.74111041797,exact_d1(p=0.3)\n'
-    ',0.3,1,0.538461538462,supercritical,0.630694627914,,,,2.74111041797,exact_d1(p=0.3)\n'
+    ',0.3,0.6,0.538461538462,supercritical,0.149398868115,,,,2.74111041797,exact_d1(p=0.3)\n'
+    ',0.3,1,0.538461538462,supercritical,0.630694627819,,,,2.74111041797,exact_d1(p=0.3)\n'
 )
 README_THEORY_JSON = (
     '{\n'
@@ -89,12 +91,12 @@ README_THEORY_JSON = (
     '      "dist_tag": "exact_d1(p=0.3)",\n'
     '      "p": 0.3,\n'
     '      "phase": "subcritical",\n'
-    '      "y_root": 1.6844902588563215,\n'
-    '      "z0": 1.137263286894435\n'
+    '      "y_root": 1.6844902588563213,\n'
+    '      "z0": 1.1372632868944348\n'
     '    },\n'
     '    {\n'
     '      "alpha": null,\n'
-    '      "beta": 0.1493988689105179,\n'
+    '      "beta": 0.1493988681154409,\n'
     '      "beta_prime_cr": 2.741110417966314,\n'
     '      "c": 0.6,\n'
     '      "c_cr": 0.5384615384615383,\n'
@@ -107,7 +109,7 @@ README_THEORY_JSON = (
     '    },\n'
     '    {\n'
     '      "alpha": null,\n'
-    '      "beta": 0.6306946279139825,\n'
+    '      "beta": 0.6306946278185912,\n'
     '      "beta_prime_cr": 2.741110417966314,\n'
     '      "c": 1.0,\n'
     '      "c_cr": 0.5384615384615383,\n'
@@ -158,8 +160,8 @@ D2_PLUGIN_CONFIG = {"d": 2, "N": [10, 20], "boundary": "torus", "p": 0.3,
                     "estimation_replicates": 4, "threads": 1, "base_seed": 2024}
 D2_PLUGIN_DIGESTS = {
     "per_k.csv": "d1ce71317fb9fd44",
-    "summary.csv": "32dd55ddde1a979f",
-    "summary.json": "52b54346f5b0b9bc",
+    "summary.csv": "ca514a9ea42863da",
+    "summary.json": "f6a47369bb4a8945",
 }
 
 
@@ -325,13 +327,25 @@ def test_domain_error_exit_code(tmp_path, capsys):
         assert err.startswith("domain error: ") and "density" in err
 
 
-def test_convergence_error_exit_code(capsys):
-    # next to c_cr = 7/13 the giant-fraction iteration exhausts its cap
+def test_convergence_error_exit_code(capsys, monkeypatch):
+    # a root search that does not settle ends in one line and exit 3
+    def unsettled(*args, **kwargs):
+        raise ConvergenceError("giant fraction: Brent's method stopped", last=0.5)
+
+    monkeypatch.setattr(cli, "theory_point", unsettled)
     code, out, err = _run(capsys, "theory", "--d1-exact", "--p", "0.3",
                           "--c", "0.5384616")
     assert code == 3
     assert out == ""
     assert err.startswith("convergence error: ") and err.count("\n") == 1
+
+
+def test_branch_density_past_poisson_limit_exit_code(capsys):
+    code, out, err = _run(capsys, "branch", "--d1-exact", "--p", "0.3", "--k", "1",
+                          "--c", "1e19", "--reps", "10")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error: ") and "density" in err
 
 
 def test_dist_csv_round_trip_through_cli(tmp_path, capsys):
@@ -375,6 +389,12 @@ def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("PERCOGRAPH_THREADS")
     _, serial, _ = _run(capsys, "experiment", "--config", str(path))
     assert out == serial
+    # a malformed value is a config error that names the variable
+    monkeypatch.setenv("PERCOGRAPH_THREADS", "abc")
+    code, out, err = _run(capsys, "experiment", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ") and "PERCOGRAPH_THREADS" in err
 
 
 def test_entry_point_installed():

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import lambertw
 
 from percograph import (
     CRITICAL_BAND,
@@ -22,6 +25,7 @@ from percograph import (
     theory_point,
 )
 from percograph.cli import main
+from percograph.distributions import LineLaw
 from percograph.errors import DomainError
 from percograph.fileio import read_csv
 
@@ -191,8 +195,7 @@ def test_series_converges_iff_z_below_radius():
     assert solve_A_z(point_mass(1), c, 0.98 * z0).converged
     div = solve_A_z(point_mass(1), c, 1.05 * z0)
     assert not div.converged
-    assert div.reason in ("left finiteness domain", "iterates blew up",
-                          "iteration cap reached")
+    assert div.reason == "beyond the convergence radius"
 
     d = exact_d1(0.3)
     sol = solve_alpha(d, 0.2)
@@ -248,3 +251,76 @@ def test_theory_points_csv(tmp_path):
     assert columns[:4] == ["d", "p", "c", "c_cr"]
     assert len(rows) == 2
     assert float(rows[1][5]) == pytest.approx(BETA_P03_C1, abs=1e-6)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("solve", [
+    lambda c: solve_beta(exact_d1(0.3), c),
+    lambda c: solve_alpha(exact_d1(0.3), c),
+    lambda c: solve_A_z(exact_d1(0.3), c, 1.0),
+], ids=["beta", "alpha", "A_z"])
+def test_solvers_reject_unusable_density(solve, c):
+    with pytest.raises(DomainError, match="density"):
+        solve(c)
+
+
+# -- properties against closed forms ------------------------------------------
+
+@st.composite
+def laws(draw):
+    """The line law, a point mass, or a small table."""
+    kind = draw(st.sampled_from(["line", "point", "table"]))
+    if kind == "line":
+        return exact_d1(draw(st.floats(0.0, 0.9)))
+    if kind == "point":
+        return point_mass(draw(st.integers(1, 5)))
+    ks = sorted(draw(st.lists(st.integers(1, 12), min_size=1, max_size=5, unique=True)))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(ks),
+                                     max_size=len(ks))))
+    return from_table(ks, weights / weights.sum())
+
+
+def _pgf(law, x):
+    """E x^|C|: (1-p)^2 x / (1 - p x)^2 on the line, a finite sum for a table."""
+    if isinstance(law, LineLaw):
+        return (1.0 - law.p) ** 2 * x / (1.0 - law.p * x) ** 2
+    return float(np.sum(law.probs * x ** law.ks.astype(float)))
+
+
+@given(c=st.floats(1.01, 30.0))
+@settings(max_examples=60, deadline=None)
+def test_beta_at_p0_is_the_lambert_w_closed_form(c):
+    closed = 1.0 + lambertw(-c * math.exp(-c)).real / c
+    assert solve_beta(exact_d1(0.0), c) == pytest.approx(closed, rel=1e-10)
+
+
+@given(c=st.floats(0.01, 0.99))
+@settings(max_examples=60, deadline=None)
+def test_alpha_at_p0_is_the_closed_form(c):
+    assert 1.0 / solve_alpha(exact_d1(0.0), c).alpha == pytest.approx(
+        c - 1.0 - math.log(c), rel=1e-9)
+
+
+@given(law=laws())
+@settings(max_examples=60, deadline=None)
+def test_critical_scaling_of_beta_and_alpha(law):
+    # one part in 1e6 from c_cr; the corrections are of relative order 1e-6
+    m1, m2 = law.mean_size, law.second_moment
+    ccr = c_critical(law)
+    delta = 1e-6
+    c_up, c_down = ccr * (1.0 + delta), ccr * (1.0 - delta)
+    assert solve_beta(law, c_up) / (c_up - ccr) == pytest.approx(2.0 * m1**3 / m2, rel=1e-4)
+    assert solve_alpha(law, c_down).alpha * (ccr - c_down) ** 2 == pytest.approx(
+        2.0 * m2 / m1**3, rel=1e-4)
+
+
+@given(law=laws(), ratio=st.floats(1.05, 5.0), z=st.floats(0.5, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_supercritical_series_is_a_root_below_one_over_kappa(law, ratio, z):
+    c = ratio * c_critical(law)
+    kappa = law.mean_inverse_size
+    res = solve_A_z(law, c, z)
+    assert res.converged
+    assert 0.0 < res.value < 1.0 / kappa
+    x = z * math.exp(c * (kappa * res.value - 1.0))
+    assert _pgf(law, x) / kappa == pytest.approx(res.value, rel=1e-10)
