@@ -24,13 +24,11 @@ from .errors import (
 )
 from .experiments import (
     ExperimentConfig,
-    concentration_check,
     estimate_cluster_law,
     evaluate_checks,
     load_config,
     run_cell,
     run_experiment,
-    subcritical_scaling,
     sweep,
 )
 from .lattice import (
@@ -68,8 +66,7 @@ __all__ = [
     "critical_mean_degree_d1", "theory_point", "TheoryPoint",
     "simulate_progeny", "estimate_survival",
     "ExperimentConfig", "load_config", "run_cell", "sweep",
-    "subcritical_scaling", "concentration_check", "estimate_cluster_law",
-    "evaluate_checks", "run_experiment",
+    "estimate_cluster_law", "evaluate_checks", "run_experiment",
     "ConfigError", "DomainError", "DivergenceError", "ConvergenceError",
     "CheckFailure",
 ]

@@ -137,15 +137,18 @@ def _cmd_experiment(args, invocation):
         source = json.loads(ref.read_text())
     config = experiments.load_config(source)
     # --threads, else PERCOGRAPH_THREADS, else the config's value
-    threads = args.threads
+    threads, origin = args.threads, "--threads"
     if threads is None and "PERCOGRAPH_THREADS" in os.environ:
+        origin = "PERCOGRAPH_THREADS"
         try:
-            threads = int(os.environ["PERCOGRAPH_THREADS"])
+            threads = int(os.environ[origin])
         except ValueError:
-            raise ConfigError("PERCOGRAPH_THREADS must be an integer, got "
-                              f"{os.environ['PERCOGRAPH_THREADS']!r}") from None
+            raise ConfigError(f"{origin} must be an integer, got "
+                              f"{os.environ[origin]!r}") from None
     if threads is not None:
-        config = dataclasses.replace(config, threads=max(1, threads))
+        if threads < 1:
+            raise ConfigError(f"{origin} must be >= 1, got {threads}")
+        config = dataclasses.replace(config, threads=threads)
     result, checks = experiments.run_experiment(
         config, out_dir=args.out_dir, check=args.check, invocation=invocation)
     if args.command == "experiment" and args.out_dir is None:

@@ -65,7 +65,6 @@ class ClusterSizeDistribution:
 
     Do not construct directly; use :func:`exact_d1`, :func:`from_table`,
     :func:`from_empirical`, or :func:`point_mass`.  Each law declares
-    ``default_tol``, the solvers' default tolerance for it, and
     ``divergence_rate``, the growth rate at which e^(rate * |C|) stops
     being summable against it.
     """
@@ -78,7 +77,7 @@ class ClusterSizeDistribution:
         except DomainError:
             return self.divergence_rate
 
-    def expect(self, f, growth_rate=0.0, tol=1e-12):
+    def expect(self, f, growth_rate=0.0):
         """Truncated E[f(|C|)] with a truncation-error estimate.
 
         Parameters
@@ -90,8 +89,6 @@ class ClusterSizeDistribution:
             length carries a 10x decay margin to absorb those factors.
         growth_rate : float
             Declared exponential rate of f.
-        tol : float
-            Target truncation error.
 
         Returns
         -------
@@ -99,7 +96,7 @@ class ClusterSizeDistribution:
             ``value`` and ``tail_bound``, the law's bound on what the
             truncation leaves out.
         """
-        ks, pmf, _ = self.materialize(growth_rate, tol)
+        ks, pmf, _ = self.materialize(growth_rate)
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.asarray(f(ks), dtype=float)
             if vals.shape != ks.shape:
@@ -115,8 +112,6 @@ class LineLaw(ClusterSizeDistribution):
     """Closed-form cluster law on the line at retention probability p."""
 
     p: float
-
-    default_tol = 1e-10
 
     @property
     def divergence_rate(self):
@@ -225,7 +220,6 @@ class TableLaw(ClusterSizeDistribution):
     counts: np.ndarray | None = None
     n_configs: int | None = None
 
-    default_tol = 1e-8
     divergence_rate = math.inf
 
     @property

@@ -43,9 +43,6 @@ __all__ = [
     "estimate_cluster_law",
     "SweepResult",
     "sweep",
-    "ScalingResult",
-    "subcritical_scaling",
-    "concentration_check",
     "CheckResult",
     "evaluate_checks",
     "run_experiment",
@@ -396,79 +393,6 @@ def sweep(config):
             crossings.append(Crossing(N=N, p=p, c_at_crossing=cross, c_cr=ccr,
                                       grid_step=step, within_one_step=within))
     return SweepResult(cells=cells, crossings=crossings)
-
-
-@dataclass
-class ScalingRow:
-    p: float
-    c: float
-    N: int
-    n_sites: int
-    p95: float
-    alpha: float
-    bound: float
-    ok: bool
-    c1: np.ndarray = field(repr=False)   # per-replicate largest component
-
-
-@dataclass
-class ScalingResult:
-    rows: list
-
-
-def subcritical_scaling(config):
-    """Largest-component log law across the N grid.
-
-    Every (p, c) cell must be strictly subcritical; for each one the 95th
-    percentile of C1/log(box size) over replicates is compared against
-    1.5 * alpha.
-    """
-    rows = []
-    for p in config.p_values:
-        for c in config.c_values:
-            base_dist = _cluster_law(config, p, max(config.N_values))
-            point = theory_point(base_dist, c, d=config.d, p=p)
-            if point.phase != "subcritical" or point.alpha is None:
-                raise DomainError(
-                    f"scaling study needs strictly subcritical cells; "
-                    f"(p={p}, c={c}) is {point.phase}"
-                )
-            for N in sorted(config.N_values):
-                cell = run_cell(config, p, c, N, base_dist)
-                p95 = cell.percentile("c1_over_logn", 95)
-                bound = 1.5 * point.alpha
-                n_sites = (2 * N + 1) ** config.d
-                rows.append(ScalingRow(
-                    p=p, c=c, N=N, n_sites=n_sites,
-                    p95=p95, alpha=point.alpha, bound=bound, ok=p95 <= bound,
-                    c1=np.rint(cell.samples["c1_over_logn"] * math.log(n_sites)),
-                ))
-    return ScalingResult(rows=rows)
-
-
-def concentration_check(config):
-    """Per-size cluster frequencies against the exact type measure (line
-    model): flags |mean(N_k/K_N) - mu(k)| beyond 3 SE and beyond the
-    coarse envelope 0.5 * k^3 * mu_tilde(k)."""
-    if config.d != 1:
-        raise DomainError("the exact type measure is only available for d = 1")
-    out = []
-    for N in config.N_values:
-        for p in config.p_values:
-            dist = exact_d1(p)
-            cell = run_cell(config, p, 0.0, N, dist)
-            ks = cell.per_k_ks
-            mu = cell.per_k_mu
-            mu_tilde = np.asarray(dist.survival(ks), dtype=float)
-            dev = np.abs(cell.per_k_mean - mu)
-            rows = {
-                "N": N, "p": p, "k": ks,
-                "mean": cell.per_k_mean, "se": cell.per_k_se, "mu": mu,
-                "within_3se": dev <= 3.0 * np.maximum(cell.per_k_se, 1e-15),
-                "envelope_ok": dev <= 0.5 * ks.astype(float) ** 3 * mu_tilde,
-            }
-            out.append(rows)
-    return out
 
 
 @dataclass(frozen=True)

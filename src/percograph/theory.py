@@ -17,8 +17,7 @@ Each is the root of one scalar equation, written to keep its precision
 next to c_cr and found by Brent's method on a sign-checked bracket.
 Expectations go through the law's ``expect`` with declared growth rates,
 so the distribution layer certifies tail truncation; the law also
-supplies the truncation target (``default_tol``) and the rate at which
-its expectations diverge (``divergence_rate``).
+supplies the rate at which its expectations diverge (``divergence_rate``).
 """
 
 import math
@@ -101,7 +100,7 @@ def phase_of(dist, c):
     return "subcritical" if c < ccr else "supercritical"
 
 
-def solve_beta(dist, c, tol=None):
+def solve_beta(dist, c):
     """Giant-component fraction: maximal root of beta = 1 - E e^(-c beta |C|).
 
     The root of g(b) = -E expm1(-c b |C|) - b on [1e-300, 1]: g is concave
@@ -109,11 +108,9 @@ def solve_beta(dist, c, tol=None):
     Returns 0.0 at and below the critical density.
     """
     c = _density(c)
-    if tol is None:
-        tol = dist.default_tol
     if c <= c_critical(dist) + CRITICAL_BAND:
         return 0.0
-    ks, pmf, _ = dist.materialize(0.0, tol * 1e-2)
+    ks, pmf, _ = dist.materialize(0.0)
     return _root(lambda b: -float(np.expm1(-c * b * ks) @ pmf) - b,
                  1e-300, 1.0, "giant fraction")[0]
 
@@ -129,7 +126,7 @@ class AlphaSolution(NamedTuple):
     z0: float
 
 
-def _tangent_root(dist, c, tol):
+def _tangent_root(dist, c):
     """Root y of h(y) = (c m1 - 1) + E[c|C| expm1(c y |C|)] = E[c|C| e^(c|C|y)] - 1,
     increasing in y.  Above c_cr, h(0) > 0 and h(-1) <= 1/e - 1 bracket it.
     Below, the upper end doubles from 1 while c*y stays below the tail
@@ -138,7 +135,7 @@ def _tangent_root(dist, c, tol):
 
     def h(y):
         val, _ = dist.expect(lambda k: c * k * np.expm1(c * y * k),
-                             growth_rate=max(c * y, 0.0), tol=tol * 1e-2)
+                             growth_rate=max(c * y, 0.0))
         return excess + val
 
     if excess > 0.0:
@@ -154,7 +151,7 @@ def _tangent_root(dist, c, tol):
     return _root(h, 0.0, hi, "tangent root")[0]
 
 
-def solve_alpha(dist, c, tol=None):
+def solve_alpha(dist, c):
     """Subcritical log-law constant.
 
     y_root solves E[c|C| e^(c|C|y)] = 1; then 1/alpha =
@@ -162,14 +159,12 @@ def solve_alpha(dist, c, tol=None):
     order (c_cr - c)^2, and z0 = e^(1/alpha).  Requires 0 < c < c_cr.
     """
     c = _density(c)
-    if tol is None:
-        tol = dist.default_tol
     if not 0.0 < c < c_critical(dist) - CRITICAL_BAND:
         raise DomainError(f"subcritical constant needs 0 < c < c_cr = "
                           f"{c_critical(dist):.6g}, got {c}")
-    y = _tangent_root(dist, c, tol)
+    y = _tangent_root(dist, c)
     curvature, _ = dist.expect(lambda k: np.expm1(c * y * k) - c * y * k,
-                               growth_rate=c * y, tol=tol * 1e-2)
+                               growth_rate=c * y)
     inv_alpha = c * (y * (1.0 - c * dist.mean_size) - curvature)
     if not inv_alpha > 0.0:
         raise DomainError(f"degenerate subcritical solution: 1/alpha = {inv_alpha!r}")
@@ -202,7 +197,7 @@ class AzResult(NamedTuple):
     reason: str
 
 
-def solve_A_z(dist, c, z, tol=None):
+def solve_A_z(dist, c, z):
     """Component generating series A(z): the smallest root of
     F(A) = (1/kappa) E[z^|C| e^(c|C|(kappa A - 1))] - A, kappa = E(1/|C|).
 
@@ -217,8 +212,6 @@ def solve_A_z(dist, c, z, tol=None):
     """
     c = _density(c)
     z = float(z)
-    if tol is None:
-        tol = dist.default_tol
     if not z > 0.0:
         raise DomainError(f"generating-series argument must be > 0, got {z}")
     zeta = dist.zeta_bound()
@@ -232,12 +225,12 @@ def solve_A_z(dist, c, z, tol=None):
 
     def F(a):
         rate = log_z + c * (kappa * a - 1.0)
-        val, _ = dist.expect(lambda k: np.exp(rate * k), growth_rate=rate, tol=tol * 1e-2)
+        val, _ = dist.expect(lambda k: np.exp(rate * k), growth_rate=rate)
         return val / kappa - a
 
     if c == 0.0:
         return AzResult(True, F(0.0), 1, "converged")
-    a_tan = (1.0 + _tangent_root(dist, c, tol) - log_z / c) / kappa
+    a_tan = (1.0 + _tangent_root(dist, c) - log_z / c) / kappa
     if a_tan <= 0.0 or F(a_tan) > 0.0:
         return AzResult(False, math.nan, int(a_tan > 0.0), "beyond the convergence radius")
     a, calls = _root(F, 0.0, a_tan, "generating series")

@@ -27,7 +27,7 @@ from percograph import (
     solve_A_z,
     solve_alpha,
     solve_beta,
-    subcritical_scaling,
+    sweep,
     verify_correspondence,
 )
 from percograph.experiments import estimate_cluster_law
@@ -170,8 +170,11 @@ def test_criterion_07_subcritical_scaling():
     for p, c in ((0.0, 0.5), (0.3, 0.2)):
         cfg = load_config({"d": 1, "N": [1_000, 10_000, 100_000], "p": p,
                            "c": c, "replicates": 50, "base_seed": BASE_SEED})
-        result = subcritical_scaling(cfg)
-        bound_ok &= all(row.ok for row in result.rows)
+        cells = sweep(cfg).cells
+        assert all(cell.theory.phase == "subcritical" for cell in cells)
+        bound = 1.5 * cells[0].theory.alpha
+        p95s = [cell.percentile("c1_over_logn", 95) for cell in cells]
+        bound_ok &= all(p95 <= bound for p95 in p95s)
 
         pmf = _merged_component_law(p, c)
         j = np.arange(1, pmf.size + 1)
@@ -182,14 +185,16 @@ def test_criterion_07_subcritical_scaling():
         assert abs(pmf.sum() - 1.0) <= 1e-12
         assert math.isclose((j * pmf).sum(), m1 / (1 - c * m1), rel_tol=1e-12)
 
-        seq = ", ".join(f"{row.p95:.4f}" for row in result.rows)
+        seq = ", ".join(f"{p95:.4f}" for p95 in p95s)
         means = []
-        for row in result.rows:
-            pred, sd = _c1_mean_sd(pmf, row.n_sites)
-            z = (row.c1.mean() - pred) / (sd / math.sqrt(row.c1.size))
+        for cell in cells:
+            n = 2 * cell.N + 1
+            c1 = np.rint(cell.samples["c1_frac"] * n)
+            pred, sd = _c1_mean_sd(pmf, n)
+            z = (c1.mean() - pred) / (sd / math.sqrt(c1.size))
             law_ok &= abs(z) <= 3.0
-            means.append(f"N={row.N}: {row.c1.mean():.2f}/{pred:.2f} z={z:+.2f}")
-        details.append(f"(p={p}, c={c}): p95/bound={result.rows[0].bound:.3f} "
+            means.append(f"N={cell.N}: {c1.mean():.2f}/{pred:.2f} z={z:+.2f}")
+        details.append(f"(p={p}, c={c}): p95/bound={bound:.3f} "
                        f"seq=[{seq}] mean C1 obs/pred [{', '.join(means)}]")
     passed = bound_ok and law_ok
     _report(7, "subcritical scaling", passed,

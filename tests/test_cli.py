@@ -1,16 +1,19 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import percograph
 from percograph import cli
 from percograph.cli import main
 from percograph.errors import ConvergenceError
@@ -389,12 +392,15 @@ def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("PERCOGRAPH_THREADS")
     _, serial, _ = _run(capsys, "experiment", "--config", str(path))
     assert out == serial
-    # a malformed value is a config error that names the variable
-    monkeypatch.setenv("PERCOGRAPH_THREADS", "abc")
-    code, out, err = _run(capsys, "experiment", "--config", str(path))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("config error: ") and "PERCOGRAPH_THREADS" in err
+    # a malformed or non-positive count is a config error that names its source
+    for env, flags, origin in (("abc", (), "PERCOGRAPH_THREADS"),
+                               ("-5", (), "PERCOGRAPH_THREADS"),
+                               ("2", ("--threads", "0"), "--threads")):
+        monkeypatch.setenv("PERCOGRAPH_THREADS", env)
+        code, out, err = _run(capsys, "experiment", "--config", str(path), *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: ") and origin in err
 
 
 def test_entry_point_installed():
@@ -418,3 +424,11 @@ def test_package_import_does_not_load_scipy_stats():
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_every_exported_name_resolves():
+    modules = [percograph] + [importlib.import_module(f"percograph.{info.name}")
+                              for info in pkgutil.iter_modules(percograph.__path__)]
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []

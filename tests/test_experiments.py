@@ -1,4 +1,4 @@
-"""Experiment cells, sweeps, scaling studies, and config-driven checks."""
+"""Experiment cells, sweeps, and config-driven checks."""
 
 import io
 import json
@@ -15,14 +15,12 @@ from percograph import (
     load_config,
     run_cell,
     run_experiment,
-    subcritical_scaling,
     sweep,
     theory_point,
 )
-from percograph.errors import ConfigError, DomainError
+from percograph.errors import ConfigError
 from percograph.experiments import (
     CellSummary,
-    concentration_check,
     estimate_cluster_law,
     write_per_k_csv,
     write_summary_csv,
@@ -232,33 +230,15 @@ def test_sweep_no_crossing_when_all_subcritical():
     assert not cross.within_one_step
 
 
-def test_subcritical_scaling_rows():
-    cfg = _config(N=[200, 800], p=0.3, c=0.2, replicates=30)
-    result = subcritical_scaling(cfg)
-    assert len(result.rows) == 2
-    assert [row.N for row in result.rows] == [200, 800]
-    for row in result.rows:
-        assert row.alpha == pytest.approx(7.774553452111182, rel=1e-9)
-        assert row.bound == pytest.approx(1.5 * row.alpha, rel=1e-12)
-        assert row.ok
-        assert row.n_sites == 2 * row.N + 1
-
-
-def test_subcritical_scaling_rejects_supercritical():
-    cfg = _config(N=[100], p=0.3, c=1.0)
-    with pytest.raises(DomainError, match="subcritical"):
-        subcritical_scaling(cfg)
-
-
-def test_concentration_check_d1():
+def test_run_cell_per_k_concentration_d1():
+    # N_k/K_N against the exact type measure mu(k) of the line model
     cfg = _config(N=3000, p=0.4, c=0.0, replicates=40, k_max_report=8)
-    out = concentration_check(cfg)
-    assert len(out) == 1
-    row = out[0]
-    assert np.all(row["envelope_ok"])
-    assert np.mean(row["within_3se"]) >= 0.75
-    with pytest.raises(DomainError):
-        concentration_check(_config(d=2, N=5))
+    cell = run_cell(cfg, 0.4, 0.0)
+    ks = cell.per_k_ks
+    dev = np.abs(cell.per_k_mean - cell.per_k_mu)
+    envelope = 0.5 * ks.astype(float) ** 3 * exact_d1(0.4).survival(ks)
+    assert np.all(dev <= envelope)
+    assert np.mean(dev <= 3.0 * np.maximum(cell.per_k_se, 1e-15)) >= 0.75
 
 
 def test_evaluate_checks_ops():

@@ -71,7 +71,7 @@ def test_phase_classification():
 
 @pytest.mark.parametrize("c,expected", sorted(BETA_PURE.items()))
 def test_beta_pure_long_range(c, expected):
-    beta = solve_beta(point_mass(1), c, tol=1e-11)
+    beta = solve_beta(point_mass(1), c)
     assert beta == pytest.approx(expected, abs=1e-9)
     # fixed-point residual, checked directly
     assert beta == pytest.approx(1.0 - math.exp(-c * beta), abs=1e-9)
