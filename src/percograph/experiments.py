@@ -1,10 +1,14 @@
 """Monte Carlo experiment cells, sweeps, and their acceptance checks.
 
-An experiment is a grid of cells over (N, p, c).  Every replicate of a
-cell gets its own derived seed keyed by the cell's actual parameter
-values (not its position in the grid), so enlarging a grid never
-perturbs the draws of cells that were already there, and reruns are
-byte-identical.
+An experiment is a grid of cells over (N, p, c).  Every replicate gets
+derived seeds keyed by the actual parameter values (not their positions
+in the grid), so enlarging a grid never perturbs the draws of cells that
+were already there, and reruns are byte-identical.  The bond draw is
+keyed on (base_seed, d, N, p, replicate) alone: one configuration per
+replicate is sampled and labelled for an (N, p) slice, and every c of
+the slice lays its own long-range draw, keyed on c as well, over it.  So
+within a slice the cluster count and the per-size frequencies are equal
+across c, and only the merged observables move with c.
 
 Observables per replicate: the two largest merged components and the
 percolation cluster count, all relative to the box size, plus the
@@ -285,70 +289,105 @@ def _cluster_law(config, p, N):
     return estimate_cluster_law(config, p, N)
 
 
-def run_cell(config, p, c, N=None, dist=None):
-    """Run all replicates of one cell and join the solved theory values.
+def _run_slice(config, p, c_values, N=None, dist=None):
+    """Run all replicates of one (N, p) slice at every density in
+    ``c_values`` and join the solved theory values; one ``CellSummary``
+    per c, in the order given.
 
-    Replicate seeds depend only on (base_seed, d, N, p, c, replicate), so
-    results are reproducible cell by cell.  A replicate that leaves the
-    model's domain (``DomainError``) is recorded in ``n_failed`` and
-    excluded from the aggregates; the cell fails if more than 10% do.
-    Any other exception is a bug and propagates.
+    Each replicate samples and labels its bond configuration once and
+    overlays every c on it in turn, so at most ``config.threads``
+    configurations are alive at once.  A ``DomainError`` from the bond
+    draw fails that replicate at every c; one from an overlay fails only
+    that (replicate, c).  Failed replicates are counted in ``n_failed``
+    and excluded from the aggregates; a cell fails if more than 10% of
+    its replicates do.  Any other exception is a bug and propagates.
     """
     N = int(N if N is not None else config.N_values[0])
     p = float(p)
-    c = float(c)
+    c_values = tuple(float(c) for c in c_values)
     geom = build_geometry(config.d, N, config.boundary)
     n = geom.n_vertices
     kmax = config.k_max_report
 
     def one_rep(rep):
-        seed_p = _rep_seed(config.base_seed, config.d, N, p, c, _STAGE_PERC, rep)
-        seed_o = _rep_seed(config.base_seed, config.d, N, p, c, _STAGE_OVERLAY, rep)
+        # the c slot is fixed at 0.0, not dropped, so the seed tuple keeps
+        # its width (see rng.derive_seed) and every c shares this draw
+        seed_p = _rep_seed(config.base_seed, config.d, N, p, 0.0, _STAGE_PERC, rep)
         try:
             base = sample_percolation(geom, p, seed_p)
-            merged = overlay_long_range(base, c, seed_o)
         except DomainError as exc:
-            return exc
+            return [exc] * len(c_values)
         sizes = base.cluster_sizes
         nk = np.bincount(sizes[sizes <= kmax], minlength=kmax + 1)[1:]
-        return {
-            "c1_frac": merged.largest / n,
-            "c2_frac": merged.second_largest / n,
-            "k_frac": base.n_clusters / n,
-            "c1_over_logn": merged.largest / math.log(n),
-            "n_long": float(merged.n_long_edges),
-            "nk_frac": nk / base.n_clusters,
-        }
+        shared = {"k_frac": base.n_clusters / n, "nk_frac": nk / base.n_clusters}
+        outcomes = []
+        for c in c_values:
+            seed_o = _rep_seed(config.base_seed, config.d, N, p, c, _STAGE_OVERLAY, rep)
+            try:
+                merged = overlay_long_range(base, c, seed_o)
+            except DomainError as exc:
+                outcomes.append(exc)
+                continue
+            outcomes.append(dict(
+                shared,
+                c1_frac=merged.largest / n,
+                c2_frac=merged.second_largest / n,
+                c1_over_logn=merged.largest / math.log(n),
+                n_long=float(merged.n_long_edges),
+            ))
+        return outcomes
 
+    # the pool starts its workers on first submit, so one thread runs the
+    # replicates on the calling thread and no worker is ever started
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        outcomes = list(pool.map(one_rep, range(config.replicates)))
-    results = [out for out in outcomes if not isinstance(out, DomainError)]
-    errors = [out for out in outcomes if isinstance(out, DomainError)]
-    if len(errors) > 0.1 * config.replicates:
-        raise RuntimeError(
-            f"cell (N={N}, p={p}, c={c}): {len(errors)} of "
-            f"{config.replicates} replicates failed; first: {errors[0]!r}"
-        )
-
-    samples = {name: np.array([r[name] for r in results]) for name in _METRICS}
-    nk_mat = np.vstack([r["nk_frac"] for r in results])
-    per_k_mean = nk_mat.mean(axis=0)
-    per_k_se = (nk_mat.std(axis=0, ddof=1) / math.sqrt(nk_mat.shape[0])
-                if nk_mat.shape[0] > 1 else np.zeros(kmax))
+        mapper = map if config.threads == 1 else pool.map
+        by_rep = list(mapper(one_rep, range(config.replicates)))
 
     the_dist = dist if dist is not None else _cluster_law(config, p, N)
-    point = theory_point(the_dist, c, d=config.d, p=p)
     kappa = the_dist.mean_inverse_size
     ks = np.arange(1, kmax + 1, dtype=np.int64)
     mu_k = np.asarray(the_dist.pmf(ks), dtype=float) / (ks * kappa)
 
-    return CellSummary(
-        d=config.d, N=N, boundary=config.boundary, p=p, c=c,
-        replicates=config.replicates, n_failed=len(errors),
-        theory=point, kappa_theory=float(kappa),
-        samples=samples, per_k_ks=ks, per_k_mean=per_k_mean,
-        per_k_se=per_k_se, per_k_mu=mu_k,
-    )
+    cells = []
+    for j, c in enumerate(c_values):
+        outcomes = [row[j] for row in by_rep]
+        results = [out for out in outcomes if not isinstance(out, DomainError)]
+        errors = [out for out in outcomes if isinstance(out, DomainError)]
+        if len(errors) > 0.1 * config.replicates:
+            raise RuntimeError(
+                f"cell (N={N}, p={p}, c={c}): {len(errors)} of "
+                f"{config.replicates} replicates failed; first: {errors[0]!r}"
+            )
+
+        samples = {name: np.array([r[name] for r in results]) for name in _METRICS}
+        nk_mat = np.vstack([r["nk_frac"] for r in results])
+        per_k_mean = nk_mat.mean(axis=0)
+        per_k_se = (nk_mat.std(axis=0, ddof=1) / math.sqrt(nk_mat.shape[0])
+                    if nk_mat.shape[0] > 1 else np.zeros(kmax))
+
+        cells.append(CellSummary(
+            d=config.d, N=N, boundary=config.boundary, p=p, c=c,
+            replicates=config.replicates, n_failed=len(errors),
+            theory=theory_point(the_dist, c, d=config.d, p=p),
+            kappa_theory=float(kappa),
+            samples=samples, per_k_ks=ks, per_k_mean=per_k_mean,
+            per_k_se=per_k_se, per_k_mu=mu_k,
+        ))
+    return cells
+
+
+def run_cell(config, p, c, N=None, dist=None):
+    """Run all replicates of one cell and join the solved theory values.
+
+    The one-density case of the slice runner.  The bond draw of replicate
+    r depends only on (base_seed, d, N, p, r) and the overlay draw also on
+    c, so a cell gives the same samples here as in any ``sweep`` whose
+    grid contains it.  A replicate that leaves the model's domain
+    (``DomainError``) is recorded in ``n_failed`` and excluded from the
+    aggregates; the cell fails if more than 10% do.  Any other exception
+    is a bug and propagates.
+    """
+    return _run_slice(config, p, (c,), N, dist)[0]
 
 
 @dataclass(frozen=True)
@@ -372,17 +411,21 @@ class SweepResult:
 def sweep(config):
     """Run the full (N, p, c) grid.
 
-    For d >= 2 the plug-in law is estimated once per (N, p) slice and
-    shared by every c cell in that slice (two-stage pipeline).  For each
-    slice the coarse transition location is recorded: the first grid c at
-    which the mean giant fraction reaches the detection threshold.
+    Each (N, p) slice runs once: every replicate's bond configuration is
+    drawn and labelled once and shared by all c cells of the slice, which
+    differ only in their long-range overlays, so ``k_frac`` and the per-k
+    columns are equal across c within a slice.  For d >= 2 the plug-in
+    law is likewise estimated once per slice (two-stage pipeline).  Each
+    cell's draws depend on its own (N, p, c) values only, so enlarging
+    the grid leaves existing cells unchanged.  For each slice the coarse
+    transition location is recorded: the first grid c at which the mean
+    giant fraction reaches the detection threshold.
     """
     cells, crossings = [], []
     for N in config.N_values:
         for p in config.p_values:
-            slice_dist = _cluster_law(config, p, N)
             c_sorted = tuple(sorted(config.c_values))
-            slice_cells = [run_cell(config, p, c, N, slice_dist) for c in c_sorted]
+            slice_cells = _run_slice(config, p, c_sorted, N)
             cells.extend(slice_cells)
             ccr = slice_cells[0].theory.c_cr
             cross = next(

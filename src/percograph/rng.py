@@ -7,10 +7,12 @@ Two properties matter:
   uniform attached to edge ``i`` does not depend on how many other edges
   exist, the order they are visited in, or any thread count, so raising
   the retention probability with the same seed can only open more edges.
-* ``derive_seed`` hashes an arbitrary tuple of integers into a fresh
-  64-bit stream key.  Replicates, overlay draws, and branching estimates
-  each get their own derived key, so adding cells or replicates to an
-  experiment never perturbs the draws of existing ones.
+* ``derive_seed`` hashes a tuple of integers into a fresh 64-bit stream
+  key.  Replicates, overlay draws, and branching estimates each get their
+  own derived key, so adding cells or replicates to an experiment never
+  perturbs the draws of existing ones.  Each consumer passes tuples of
+  one fixed width, because tuples of different widths can collide (see
+  ``derive_seed``).
 """
 
 import numpy as np
@@ -33,9 +35,16 @@ def _as_entropy(part):
 def derive_seed(*parts):
     """Hash a tuple of integers into a single 64-bit seed.
 
-    Built on :class:`numpy.random.SeedSequence`, so the map is splittable:
-    ``derive_seed(s, a)`` and ``derive_seed(s, b)`` are decorrelated for
-    ``a != b`` and stable across numpy versions in practice.
+    Built on :class:`numpy.random.SeedSequence`, which hashes the parts'
+    32-bit words, not the tuple: each part (taken mod 2**64) becomes one
+    word below 2**32 and two words otherwise, the words are concatenated,
+    and a sequence shorter than 4 words is zero-padded.  Tuples with the
+    same word sequence give the same seed, so ``(7,)`` and ``(7, 0)``
+    collide, and so do ``(2**32 + 5,)`` and ``(5, 1)``.  Tuples whose
+    word sequences differ give decorrelated seeds, stable across numpy
+    versions in practice.  Each caller therefore keeps one tuple width
+    per stream; the encoding stays as it is because changing it would
+    change every draw in the package.
     """
     entropy = [_as_entropy(p) for p in parts]
     ss = np.random.SeedSequence(entropy)

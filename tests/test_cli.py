@@ -162,9 +162,9 @@ D2_PLUGIN_CONFIG = {"d": 2, "N": [10, 20], "boundary": "torus", "p": 0.3,
                     "c": [0.05, 0.1, 0.2, 0.4], "replicates": 8,
                     "estimation_replicates": 4, "threads": 1, "base_seed": 2024}
 D2_PLUGIN_DIGESTS = {
-    "per_k.csv": "d1ce71317fb9fd44",
-    "summary.csv": "ca514a9ea42863da",
-    "summary.json": "f6a47369bb4a8945",
+    "per_k.csv": "3c30d2bc8aa11751",
+    "summary.csv": "233377618cc80585",
+    "summary.json": "9e2041b27e210e63",
 }
 
 

@@ -26,6 +26,7 @@ from percograph.experiments import (
     write_summary_csv,
 )
 from percograph.fileio import read_csv
+from percograph.rng import derive_seed
 
 
 def _config(**overrides):
@@ -128,6 +129,84 @@ def test_cell_seeds_keyed_by_values_not_grid_position():
     cell_large = next(c for c in large.cells if c.c == 0.2)
     for name in cell_small.samples:
         assert np.array_equal(cell_small.samples[name], cell_large.samples[name])
+
+
+def test_slice_cells_share_one_bond_configuration():
+    # within an (N, p) slice only the overlay moves with c
+    result = sweep(_config(N=[200, 300], p=[0.3, 0.5], c=[0.0, 0.2, 1.0]))
+    assert len(result.cells) == 12
+    for i in range(0, 12, 3):
+        first, *rest = result.cells[i:i + 3]
+        for cell in rest:
+            assert (cell.N, cell.p) == (first.N, first.p)
+            assert np.array_equal(cell.samples["k_frac"], first.samples["k_frac"])
+            assert np.array_equal(cell.per_k_mean, first.per_k_mean)
+            assert np.array_equal(cell.per_k_se, first.per_k_se)
+        assert not np.array_equal(rest[-1].samples["c1_frac"], first.samples["c1_frac"])
+
+
+def test_run_cell_equals_its_sweep_cell():
+    cfg = _config(d=2, N=[6, 8], p=[0.3, 0.6], c=[0.05, 0.4], replicates=4,
+                  estimation_replicates=3)
+    for cell in sweep(cfg).cells:
+        dist = estimate_cluster_law(cfg, cell.p, cell.N)
+        alone = run_cell(cfg, cell.p, cell.c, cell.N, dist)
+        for name in cell.samples:
+            assert np.array_equal(alone.samples[name], cell.samples[name])
+        assert np.array_equal(alone.per_k_mean, cell.per_k_mean)
+        assert np.array_equal(alone.per_k_mu, cell.per_k_mu)
+        assert alone.theory == cell.theory
+
+
+def test_sweep_samples_each_bond_configuration_once(monkeypatch):
+    real_sample, real_overlay = experiments.sample_percolation, experiments.overlay_long_range
+    calls = {"sample": 0, "overlay": 0}
+
+    def sample(geom, p, seed):
+        calls["sample"] += 1
+        return real_sample(geom, p, seed)
+
+    def overlay(base, c, seed):
+        calls["overlay"] += 1
+        return real_overlay(base, c, seed)
+
+    monkeypatch.setattr(experiments, "sample_percolation", sample)
+    monkeypatch.setattr(experiments, "overlay_long_range", overlay)
+    sweep(_config(d=2, N=[5, 6], p=[0.3, 0.5], c=[0.05, 0.1, 0.2], replicates=3,
+                  estimation_replicates=2))
+    slices = 2 * 2
+    assert calls == {"sample": slices * (3 + 2), "overlay": slices * 3 * 3}
+    calls.update(sample=0, overlay=0)
+    sweep(_config(N=[100, 200], p=[0.3, 0.5], c=[0.05, 0.1, 0.2], replicates=3))
+    assert calls == {"sample": slices * 3, "overlay": slices * 3 * 3}
+
+
+def test_zero_density_cells_keep_their_draws():
+    # cluster counts and largest clusters of run_cell(cfg, 0.3, 0.0) with
+    # the configuration of _config(), as drawn when the bond seed still
+    # carried c: its c slot is fixed at 0.0, so c = 0 cells are unchanged
+    cell = run_cell(_config(), 0.3, 0.0)
+    n = 2 * 400 + 1
+    assert np.array_equal(cell.samples["k_frac"],
+                          np.array([562, 548, 564, 576, 540, 565]) / n)
+    assert np.array_equal(cell.samples["c1_frac"], np.array([8, 6, 7, 6, 6, 8]) / n)
+
+
+def test_rep_seeds_are_pairwise_distinct():
+    stages = (experiments._STAGE_PERC, experiments._STAGE_OVERLAY,
+              experiments._STAGE_ESTIMATE)
+    seeds = [experiments._rep_seed(99, 1, 400, p, c, stage, rep)
+             for p in (0.0, 0.3) for c in (0.0, 0.2)
+             for stage in stages for rep in range(4)]
+    assert len(seeds) == 48
+    assert len(set(seeds)) == len(seeds)
+
+
+def test_derive_seed_collides_across_tuple_widths():
+    # the documented limit: SeedSequence hashes 32-bit words, not tuples
+    assert derive_seed(7) == derive_seed(7, 0)
+    assert derive_seed(2**32 + 5) == derive_seed(5, 1)
+    assert derive_seed(7, 1) != derive_seed(7, 2)
 
 
 def test_run_cell_no_edges_at_all():
