@@ -73,6 +73,9 @@ def _grow(k, c, dist, reps, rng, max_particles, max_generations):
         raise DomainError(f"root type must be >= 1, got {k}")
     if not 0.0 <= c < np.inf:
         raise DomainError(f"branching density must be finite and >= 0, got {c}")
+    if max_particles < 1 or max_generations < 1:
+        raise DomainError(f"branching caps must be >= 1, got max_particles="
+                          f"{max_particles}, max_generations={max_generations}")
     ks, cond = _type_table(dist)
     n = np.ones(reps, dtype=np.int64)
     total = np.full(reps, k, dtype=np.int64)

@@ -41,6 +41,8 @@ def _add_dist_args(sub):
 
 
 def _resolve_dist(args):
+    if args.p is not None and not args.d1_exact:
+        raise ConfigError("--p goes with --d1-exact only")
     if args.p0:
         return distributions.exact_d1(0.0)
     if args.d1_exact:

@@ -9,15 +9,17 @@ chosen site.  Two law types share one interface:
   point mass at 1 for p = 0 (no short edges at all);
 * :class:`TableLaw` -- a finite table, built by ``from_table``,
   ``point_mass``, ``from_csv`` or ``from_empirical``.  An empirical table
-  is the per-site estimator pooled from sampled configurations,
-  P_hat{|C| = k} = (1/n) * sum_x 1{|C(x)| = k}, which for a census with
-  N_k clusters of size k equals k * N_k / n; it also carries its site
-  counts and the number of configurations pooled.
+  is the per-site estimator pooled from the cluster censuses of sampled
+  configurations, P_hat{|C| = k} = (1/n) * sum_x 1{|C(x)| = k}, which for
+  a census with N_k clusters of size k equals k * N_k / n; it also
+  carries its site counts and the number of configurations pooled.
 
-Everything the phase-diagram solvers consume routes through
+The phase-diagram solvers read a law through its moments (``mean_size``,
+``second_moment``, ``mean_inverse_size``), through ``materialize`` and
 :meth:`ClusterSizeDistribution.expect`, which evaluates truncated
 expectations with an explicit exponential growth-rate declaration and
-returns a truncation-error estimate alongside the value.
+returns a truncation-error estimate alongside the value, and through
+``divergence_rate``, the rate at which E e^(s|C|) stops being finite.
 """
 
 import math
@@ -28,7 +30,6 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError
 from .fileio import fmt, read_csv, write_csv
-from .lattice import Census, PercolationConfig, cluster_census
 
 __all__ = [
     "ClusterSizeDistribution",
@@ -44,9 +45,6 @@ __all__ = [
 # Hard ceiling on truncation length; a request beyond it means the
 # declared growth rate sits too close to the tail decay rate.
 K_CAP = 5_000_000
-
-# Minimum occurrences per size for a point to enter the tail-slope fit.
-ZETA_MIN_COUNT = 50
 
 
 class ExpectResult(NamedTuple):
@@ -68,14 +66,6 @@ class ClusterSizeDistribution:
     ``divergence_rate``, the growth rate at which e^(rate * |C|) stops
     being summable against it.
     """
-
-    def zeta_bound(self):
-        """Best available tail rate for domain guards: the exact or fitted
-        rate, else ``divergence_rate`` (inf when no fit is possible)."""
-        try:
-            return self.estimate_zeta()
-        except DomainError:
-            return self.divergence_rate
 
     def expect(self, f, growth_rate=0.0):
         """Truncated E[f(|C|)] with a truncation-error estimate.
@@ -132,14 +122,6 @@ class LineLaw(ClusterSizeDistribution):
             return np.where(k == 1, 1.0, 0.0)
         return (1.0 - p) ** 2 * k * p ** (k - 1.0)
 
-    def survival(self, k):
-        """P{|C| >= k} = p^(k-1) * (k(1-p) + p), vectorized."""
-        k = np.asarray(k, dtype=np.int64)
-        p = self.p
-        if p == 0.0:
-            return np.where(k <= 1, 1.0, 0.0)
-        return p ** (k - 1.0) * (k * (1.0 - p) + p)
-
     @property
     def mean_size(self):
         """E|C| = (1+p)/(1-p)."""
@@ -155,12 +137,6 @@ class LineLaw(ClusterSizeDistribution):
         """E|C|^2 = (1 + 4p + p^2)/(1-p)^2."""
         p = self.p
         return (1.0 + 4.0 * p + p * p) / (1.0 - p) ** 2
-
-    def estimate_zeta(self):
-        """The exact tail rate; the point mass has no tail to fit."""
-        if self.p == 0.0:
-            raise DomainError("point mass has no tail to fit")
-        return self.divergence_rate
 
     def materialize(self, growth_rate=0.0, tol=1e-12):
         """Support and pmf arrays adequate for integrands growing like
@@ -243,13 +219,6 @@ class TableLaw(ClusterSizeDistribution):
         hit = self.ks[pos] == k
         return np.where(hit, self.probs[pos], 0.0)
 
-    def survival(self, k):
-        """P{|C| >= k}, vectorized: a reverse cumulative sum over the table."""
-        k = np.asarray(k, dtype=np.int64)
-        rev = np.concatenate([np.cumsum(self.probs[::-1])[::-1], [0.0]])
-        pos = np.searchsorted(self.ks, k, side="left")
-        return rev[np.clip(pos, 0, self.ks.size)] + self.tail_mass
-
     @property
     def mean_size(self):
         """E|C|."""
@@ -264,31 +233,6 @@ class TableLaw(ClusterSizeDistribution):
     def second_moment(self):
         """E|C|^2."""
         return float(np.sum(self.ks.astype(float) ** 2 * self.probs))
-
-    def estimate_zeta(self):
-        """Tail decay rate fitted over the largest decade of the usable
-        support, [kmax/10, kmax], by regressing -log P{|C| = k} on k.
-
-        For empirical tables only sizes observed at least ZETA_MIN_COUNT
-        times enter the fit.  Raises DomainError if the support does not
-        reach size 20.
-        """
-        usable = self.probs > 0
-        if self.counts is not None:
-            usable &= self.counts >= ZETA_MIN_COUNT
-        ks = self.ks[usable]
-        if ks.size == 0 or ks[-1] < 20:
-            raise DomainError("insufficient tail: support must reach size 20")
-        kmax = ks[-1]
-        window = ks >= max(1, kmax // 10)
-        if np.count_nonzero(window) < 3:
-            raise DomainError("insufficient tail: need >= 3 sizes in the top decade")
-        x = ks[window].astype(float)
-        y = -np.log(self.probs[usable][window])
-        slope = np.polyfit(x, y, 1)[0]
-        if not np.isfinite(slope) or slope <= 0:
-            raise DomainError("tail fit produced a non-positive decay rate")
-        return float(slope)
 
     def materialize(self, growth_rate=0.0, tol=1e-12):
         """The whole table and its declared tail mass."""
@@ -343,35 +287,22 @@ def from_table(ks, probs, tail_mass=0.0):
     return TableLaw(ks=ks, probs=probs, tail_mass=float(tail_mass))
 
 
-def from_empirical(samples):
-    """Pool sampled configurations into the per-site size law.
+def from_empirical(censuses):
+    """Pool cluster censuses into the per-site size law.
 
-    ``samples`` is a Census, a PercolationConfig (taken through its
-    census), an array of per-site sizes, or a list mixing any of these.
-    A census with N_k clusters of size k contributes k * N_k site
-    observations of size k.
+    ``censuses`` is a non-empty list of censuses of sampled
+    configurations, each read through its ``ks`` (ascending sizes) and
+    ``counts`` (clusters of each size).  A census with N_k clusters of
+    size k contributes k * N_k site observations of size k; ``n_configs``
+    is the number of censuses pooled.
     """
-    if not isinstance(samples, (list, tuple)):
-        samples = [samples]
-    if len(samples) == 0:
-        raise DomainError("no samples supplied")
-    site_counts = {}
-    for item in samples:
-        if isinstance(item, PercolationConfig):
-            item = cluster_census(item)
-        if isinstance(item, Census):
-            ks, site_obs = item.ks, item.ks * item.counts
-        else:                                                         # per-site sizes
-            sizes = np.asarray(item, dtype=np.int64)
-            if sizes.ndim != 1 or sizes.size == 0 or np.any(sizes < 1):
-                raise DomainError("per-site size arrays must be 1-d with sizes >= 1")
-            ks, site_obs = np.unique(sizes, return_counts=True)
-        for k, c in zip(ks, site_obs):
-            site_counts[int(k)] = site_counts.get(int(k), 0) + int(c)
-    ks = np.array(sorted(site_counts), dtype=np.int64)
-    counts = np.array([site_counts[int(k)] for k in ks], dtype=np.int64)
+    if len(censuses) == 0:
+        raise DomainError("no censuses supplied")
+    ks, where = np.unique(np.concatenate([c.ks for c in censuses]), return_inverse=True)
+    counts = np.zeros(ks.size, dtype=np.int64)
+    np.add.at(counts, where, np.concatenate([c.ks * c.counts for c in censuses]))
     return TableLaw(ks=ks, probs=counts / float(counts.sum()), counts=counts,
-                    n_configs=len(samples))
+                    n_configs=len(censuses))
 
 
 # -- serialization -----------------------------------------------------------

@@ -186,10 +186,6 @@ class PercolationConfig:
     def n_open_edges(self):
         return self.open_u.size
 
-    def sizes_per_site(self):
-        """``out[x] = |C(x)|``, the size of the cluster containing site x."""
-        return self.partition.sizes[self.partition.index]
-
 
 def sample_percolation(geometry, p, seed):
     """Draw one bond configuration and compute its cluster partition.
@@ -217,31 +213,18 @@ class Census:
     """Cluster-size census: how many clusters of each size.
 
     ``ks`` is ascending; ``counts[i]`` clusters have exactly ``ks[i]``
-    sites.  Identities: sum(ks * counts) == n_vertices and
-    sum(counts) == n_clusters.
+    sites.  sum(ks * counts) is the number of sites and sum(counts) the
+    number of clusters.
     """
 
     ks: np.ndarray
     counts: np.ndarray
-    n_vertices: int
-    n_clusters: int
-    max_size: int
-
-    def as_dict(self):
-        return {int(k): int(c) for k, c in zip(self.ks, self.counts)}
 
 
 def cluster_census(config):
     """Census of the cluster partition of a sampled configuration."""
-    sizes = np.asarray(config.cluster_sizes)
-    ks, counts = np.unique(sizes, return_counts=True)
-    return Census(
-        ks=ks.astype(np.int64),
-        counts=counts.astype(np.int64),
-        n_vertices=int(config.geometry.n_vertices),
-        n_clusters=int(sizes.size),
-        max_size=int(ks[-1]) if ks.size else 0,
-    )
+    ks, counts = np.unique(config.cluster_sizes, return_counts=True)
+    return Census(ks=ks.astype(np.int64), counts=counts.astype(np.int64))
 
 
 def origin_cluster_size(config):

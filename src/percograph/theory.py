@@ -17,7 +17,8 @@ Each is the root of one scalar equation, written to keep its precision
 next to c_cr and found by Brent's method on a sign-checked bracket.
 Expectations go through the law's ``expect`` with declared growth rates,
 so the distribution layer certifies tail truncation; the law also
-supplies the rate at which its expectations diverge (``divergence_rate``).
+supplies the rate at which its expectations diverge (``divergence_rate``),
+which bounds the tangent-root search and guards the argument z of A(z).
 """
 
 import math
@@ -207,14 +208,14 @@ def solve_A_z(dist, c, z):
     (below c_cr: z <= z0); otherwise the result is not converged.  At
     c = 0, A(z) = E z^|C| / kappa.  ``iterations`` counts calls of F.
 
-    z itself must satisfy z < e^zeta (log z below the tail decay rate),
-    otherwise even E z^|C| is infinite and a DomainError is raised.
+    z itself must satisfy log z < ``dist.divergence_rate``, otherwise
+    even E z^|C| is infinite and a DomainError is raised.
     """
     c = _density(c)
     z = float(z)
     if not z > 0.0:
         raise DomainError(f"generating-series argument must be > 0, got {z}")
-    zeta = dist.zeta_bound()
+    zeta = dist.divergence_rate
     log_z = math.log(z)
     if log_z >= zeta:
         raise DomainError(

@@ -156,6 +156,12 @@ def test_ambiguous_fraction_counts_late_deaths():
 def test_estimate_survival_validation():
     with pytest.raises(DomainError):
         estimate_survival(1, 0.5, exact_d1(0.3), reps=0)
+    for caps in ({"max_particles": 0}, {"max_generations": 0},
+                 {"max_particles": -5, "max_generations": -1}):
+        with pytest.raises(DomainError, match="caps must be >= 1"):
+            estimate_survival(1, 0.5, exact_d1(0.3), reps=10, **caps)
+        with pytest.raises(DomainError, match="caps must be >= 1"):
+            simulate_progeny(1, 0.5, exact_d1(0.3), seed=0, **caps)
 
 
 def test_ci_quantile_is_the_normal_quantile_bit_for_bit():

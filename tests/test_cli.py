@@ -302,6 +302,23 @@ def test_usage_error_without_dist_choice(capsys):
     assert "--p" in err
 
 
+def test_p_without_d1_exact_is_a_config_error(tmp_path, capsys):
+    # --p sets the line law only; next to --p0 or --dist it would be ignored
+    law = tmp_path / "law.csv"
+    law.write_text("# percograph-csv/1 cluster-dist\n# kind=table tail_mass=0.0\n"
+                   "k,prob\n1,1.0\n")
+    for argv in (["theory", "--p0", "--p", "0.7", "--c", "0.5"],
+                 ["theory", "--dist", str(law), "--p", "0.7", "--c", "0.5"],
+                 ["branch", "--p0", "--p", "0.7", "--k", "1", "--c", "0.5",
+                  "--reps", "10"],
+                 ["branch", "--dist", str(law), "--p", "0.3", "--k", "1",
+                  "--c", "0.5", "--reps", "10"]):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == "config error: --p goes with --d1-exact only\n"
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     code, _, err = _run(capsys, "theory", "--d1-exact", "--p", "1.5",
                         "--c", "0.2")
@@ -328,6 +345,13 @@ def test_domain_error_exit_code(tmp_path, capsys):
         assert code == 3, argv
         assert out == ""
         assert err.startswith("domain error: ") and "density" in err
+    # a cap below 1 would count every tree as surviving
+    for cap in ("--max-particles", "--max-generations"):
+        code, out, err = _run(capsys, "branch", "--d1-exact", "--p", "0.3", "--k", "1",
+                              "--c", "0.5", "--reps", "10", cap, "0")
+        assert code == 3, cap
+        assert out == ""
+        assert err.startswith("domain error: branching caps must be >= 1")
 
 
 def test_convergence_error_exit_code(capsys, monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from percograph import exact_d1, from_empirical, from_table, point_mass, theory_point
 from percograph.distributions import from_csv, to_csv
 from percograph.errors import DivergenceError, DomainError
-from percograph.lattice import build_geometry, cluster_census, sample_percolation
+from percograph.lattice import Census, build_geometry, cluster_census, sample_percolation
 
 P_GRID = [0.1, 0.3, 0.5, 0.7, 0.9]
 
@@ -58,16 +58,6 @@ def test_point_mass_limit():
     assert float(pm.pmf(1)) == 1.0
 
 
-def test_survival_closed_form():
-    p = 0.6
-    d = exact_d1(p)
-    ks = np.arange(1, 40)
-    direct = np.array([_direct_sum(p, lambda j, k=k: (j >= k).astype(float))
-                       for k in ks])
-    assert np.allclose(d.survival(ks), direct, atol=1e-10)
-    assert d.survival(np.array([1]))[0] == pytest.approx(1.0, abs=1e-15)
-
-
 def test_expect_exponential_matches_closed_form():
     # E e^{s|C|} = (1-p)^2 e^s / (1 - p e^s)^2 for e^s < 1/p
     p = 0.4
@@ -97,29 +87,6 @@ def test_expect_understated_growth_is_caught():
         d.expect(lambda k: np.exp(1.2 * zeta * k), growth_rate=0.0)
 
 
-def test_zeta_exact():
-    assert exact_d1(0.3).estimate_zeta() == pytest.approx(-math.log(0.3), abs=1e-15)
-    with pytest.raises(DomainError):
-        exact_d1(0.0).estimate_zeta()
-
-
-def test_zeta_fit_from_samples():
-    geom = build_geometry(1, 20000, "torus")
-    censuses = [cluster_census(sample_percolation(geom, 0.6, seed))
-                for seed in range(30)]
-    emp = from_empirical(censuses)
-    zeta_hat = emp.estimate_zeta()
-    # window fit carries a small polynomial bias; scale must still be right
-    assert abs(zeta_hat - (-math.log(0.6))) < 0.15
-
-
-def test_zeta_insufficient_tail():
-    with pytest.raises(DomainError):
-        point_mass(1).estimate_zeta()
-    with pytest.raises(DomainError):
-        from_table([1, 2, 3], [0.5, 0.3, 0.2]).estimate_zeta()
-
-
 def test_from_table_validation():
     with pytest.raises(DomainError):
         from_table([1, 2], [0.6, 0.6])
@@ -132,14 +99,15 @@ def test_from_table_validation():
 
 
 def test_from_empirical_census_equals_per_site():
+    # the census law is the per-site estimator: the share of sites x with |C(x)| = k
     geom = build_geometry(1, 500, "torus")
     cfg = sample_percolation(geom, 0.5, 71)
-    by_census = from_empirical(cluster_census(cfg))
-    by_sites = from_empirical(cfg.sizes_per_site())
-    by_config = from_empirical(cfg)
-    assert np.array_equal(by_census.ks, by_sites.ks)
-    assert np.allclose(by_census.probs, by_sites.probs, atol=1e-15)
-    assert np.allclose(by_census.probs, by_config.probs, atol=1e-15)
+    by_census = from_empirical([cluster_census(cfg)])
+    per_site = cfg.partition.sizes[cfg.partition.index]
+    ks, site_counts = np.unique(per_site, return_counts=True)
+    assert np.array_equal(by_census.ks, ks)
+    assert np.array_equal(by_census.counts, site_counts)
+    assert np.allclose(by_census.probs, site_counts / geom.n_vertices, atol=1e-15)
     assert by_census.n_sites == geom.n_vertices
     assert float(by_census.probs.sum()) == pytest.approx(1.0, abs=1e-12)
 
@@ -147,26 +115,46 @@ def test_from_empirical_census_equals_per_site():
 def test_from_empirical_pooling():
     # two configs pool site counts, so n_sites doubles
     geom = build_geometry(1, 300, "torus")
-    cfgs = [sample_percolation(geom, 0.4, s) for s in (1, 2)]
-    pooled = from_empirical(cfgs)
+    censuses = [cluster_census(sample_percolation(geom, 0.4, s)) for s in (1, 2)]
+    pooled = from_empirical(censuses)
     assert pooled.n_sites == 2 * geom.n_vertices
     assert pooled.n_configs == 2
+    with pytest.raises(DomainError):
+        from_empirical([])
 
 
-@given(p=st.floats(0.02, 0.93), k=st.integers(1, 60))
+def _census(table):
+    ks = np.array(sorted(table), dtype=np.int64)
+    return Census(ks=ks, counts=np.array([table[k] for k in ks], dtype=np.int64))
+
+
+_census_tables = st.dictionaries(st.integers(1, 12), st.integers(1, 50),
+                                 min_size=1, max_size=6)
+
+
+@given(st.lists(_census_tables, min_size=1, max_size=5))
 @settings(max_examples=60, deadline=None)
-def test_survival_telescopes_to_pmf(p, k):
-    d = exact_d1(p)
-    step = float(d.survival(k)) - float(d.survival(k + 1))
-    assert step == pytest.approx(float(d.pmf(k)), abs=1e-12)
+def test_from_empirical_pools_site_counts(tables):
+    # overlapping supports: size k gathers sum over censuses of k * N_k sites
+    emp = from_empirical([_census(t) for t in tables])
+    sites = {}
+    for table in tables:
+        for k, n_k in table.items():
+            sites[k] = sites.get(k, 0) + k * n_k
+    assert emp.ks.tolist() == sorted(sites)
+    assert emp.counts.dtype == np.int64
+    assert emp.counts.tolist() == [sites[k] for k in sorted(sites)]
+    assert emp.n_configs == len(tables)
 
 
 @given(st.integers(1, 10 ** 9))
 @settings(max_examples=40, deadline=None)
 def test_seeded_empirical_probs_sum_to_one(seed):
     rng = np.random.default_rng(seed)
-    sizes = rng.integers(1, 30, size=200)
-    emp = from_empirical(sizes)
+    censuses = [_census(dict(zip(rng.integers(1, 30, size=8).tolist(),
+                                 rng.integers(1, 40, size=8).tolist())))
+                for _ in range(3)]
+    emp = from_empirical(censuses)
     assert float(emp.probs.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -221,7 +209,7 @@ def test_csv_malformed_law_file_is_a_domain_error(text):
 
 
 def test_csv_round_trip_empirical():
-    emp = from_empirical(np.array([1, 1, 1, 2, 2, 7]))
+    emp = from_empirical([_census({1: 3, 2: 1, 7: 1})])  # site counts 3, 2, 7
     buf = io.StringIO()
     to_csv(emp, buf)
     back = from_csv(io.StringIO(buf.getvalue()))
@@ -229,7 +217,7 @@ def test_csv_round_trip_empirical():
     assert np.array_equal(back.ks, emp.ks)
     assert np.array_equal(back.probs, emp.probs)
     assert back.n_sites == emp.n_sites
-    for c in (0.2, 1.0):  # on both sides of c_cr = 3/7
+    for c in (0.2, 1.0):  # on both sides of c_cr = 12/56 = 3/14
         assert theory_point(back, c) == theory_point(emp, c)
     # table laws travel through the same format
     table = from_table([1, 3, 9], [0.5, 0.25, 0.25])

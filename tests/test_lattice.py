@@ -154,16 +154,17 @@ def test_partition_identities():
     cfg = sample_percolation(geom, 0.45, 11)
     assert int(cfg.cluster_sizes.sum()) == geom.n_vertices
     census = cluster_census(cfg)
+    assert np.all(np.diff(census.ks) > 0)
     assert int((census.ks * census.counts).sum()) == geom.n_vertices
-    assert int(census.counts.sum()) == census.n_clusters == cfg.n_clusters
-    assert census.max_size == int(cfg.cluster_sizes.max())
-    assert census.as_dict()[int(census.ks[0])] == int(census.counts[0])
+    assert int(census.counts.sum()) == cfg.n_clusters
+    assert int(census.ks[-1]) == int(cfg.cluster_sizes.max())
+    assert int(census.counts[0]) == int(np.count_nonzero(cfg.cluster_sizes == census.ks[0]))
 
 
-def test_sizes_per_site_consistent():
+def test_per_site_cluster_sizes_consistent():
     geom = build_geometry(1, 100, "torus")
     cfg = sample_percolation(geom, 0.6, 9)
-    per_site = cfg.sizes_per_site()
+    per_site = cfg.cluster_sizes[cfg.partition.index]
     assert per_site.shape == (geom.n_vertices,)
     # summing 1/|C(x)| over sites counts each cluster exactly once
     assert float(np.sum(1.0 / per_site)) == pytest.approx(cfg.n_clusters, abs=1e-8)

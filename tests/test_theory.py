@@ -25,6 +25,8 @@ from percograph import (
     theory_point,
 )
 from percograph.cli import main
+from percograph.experiments import estimate_cluster_law, load_config
+from percograph.theory import AzResult
 from percograph.distributions import LineLaw
 from percograph.errors import DomainError
 from percograph.fileio import read_csv
@@ -220,6 +222,26 @@ def test_series_rejects_z_outside_tail_domain():
     with pytest.raises(DomainError):
         solve_A_z(d, 0.2, -1.0)
     assert solve_A_z(d, 0.2, 1.9).converged in (True, False)  # inside domain
+
+
+def test_series_on_a_plug_in_table_is_finite_for_every_z():
+    # criterion 12's d = 2 plug-in law: a finite table, so E z^|C| is finite
+    # for every z > 0.  A straight-line fit of -log P{|C| = k} over its top
+    # decade of sizes puts e^slope near 1.088; z = 1.1 lies past it.
+    cfg = load_config({"d": 2, "N": 200, "p": 0.3, "c": 0.0, "replicates": 10,
+                       "base_seed": 20260817, "estimation_replicates": 8})
+    law = estimate_cluster_law(cfg, 0.3, 200)
+    assert math.isinf(law.divergence_rate)
+    z = 1.1
+    free = solve_A_z(law, 0.0, z)
+    assert free.converged
+    direct = float(np.sum(law.probs * z ** law.ks.astype(float)))
+    assert free.value == pytest.approx(direct / law.mean_inverse_size, rel=1e-12)
+    c = 0.5 * c_critical(law)
+    sub = solve_A_z(law, c, z)
+    assert isinstance(sub, AzResult)
+    assert not sub.converged  # z is past this density's radius z0
+    assert z > solve_alpha(law, c).z0
 
 
 def test_theory_point_fields():
