@@ -16,9 +16,10 @@ does not grow with the count.  All replicates advance one generation per
 pass, in lockstep; a tree leaves the batch when it dies or hits a cap.
 
 Survival is estimated by a capped exploration: a run that reaches the
-particle cap (or the generation cap) is counted as surviving.  Runs that
-die late, between the ambiguity threshold and the cap, are tallied so the
-caller can bound the censoring bias.
+particle cap (or the generation cap) is counted as surviving.  Runs whose
+fate the caps leave open are tallied so the caller can bound the
+censoring bias: those that die late, past the ambiguity threshold, and
+those that reach a cap without passing it.
 """
 
 from dataclasses import dataclass
@@ -131,7 +132,7 @@ class SurvivalEstimate:
     se: float
     ci_lo: float
     ci_hi: float
-    ambiguous_frac: float    # died after passing the ambiguity threshold
+    ambiguous_frac: float    # died past the ambiguity threshold, or capped short of it
     max_particles: int
     max_generations: int
 
@@ -142,9 +143,10 @@ def estimate_survival(k, c, dist, reps=10_000, seed=0, max_particles=1_000_000,
     95% normal confidence interval.
 
     Survival means hitting a cap.  The returned ``ambiguous_frac`` is the
-    fraction of runs that died after exceeding ``ambiguous_at`` particles;
-    it bounds how much the cap proxy can distort the estimate and should
-    stay well below the confidence half-width.
+    fraction of runs that died after exceeding ``ambiguous_at`` particles
+    or hit a cap with at most ``ambiguous_at``; it bounds how much the cap
+    proxy can distort the estimate and should stay well below the
+    confidence half-width.
     """
     reps = int(reps)
     if reps < 1:
@@ -157,6 +159,6 @@ def estimate_survival(k, c, dist, reps=10_000, seed=0, max_particles=1_000_000,
         root_type=int(k), c=float(c), dist_tag=dist.tag(), reps=reps,
         rho_hat=rho, se=se,
         ci_lo=max(0.0, rho - _CI_Z * se), ci_hi=min(1.0, rho + _CI_Z * se),
-        ambiguous_frac=int(np.count_nonzero(~hit & (n > ambiguous_at))) / reps,
+        ambiguous_frac=int(np.count_nonzero(hit != (n > ambiguous_at))) / reps,
         max_particles=int(max_particles), max_generations=int(max_generations),
     )

@@ -49,7 +49,7 @@ def _resolve_dist(args):
         if args.p is None:
             raise ConfigError("--d1-exact needs --p")
         return distributions.exact_d1(args.p)
-    with open(args.dist) as fh:
+    with open(args.dist, encoding="utf-8") as fh:
         return distributions.from_csv(fh)
 
 
@@ -236,7 +236,7 @@ def main(argv=None):
     except CheckFailure as exc:
         print(f"FAIL {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -340,7 +340,10 @@ def _parse(parse, text, name):
 
 def from_csv(fh):
     """Read a law written by :func:`to_csv`."""
-    comments, columns, rows = read_csv(fh)
+    try:
+        comments, columns, rows = read_csv(fh)
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"law file is not UTF-8 text: {exc}") from None
     fields = {}
     for comment in comments:
         for token in comment.split():

@@ -123,10 +123,10 @@ def load_config(source):
     content, or dict).  Validation happens before any computation; every
     error names the offending field."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
     else:
         raw = source
@@ -205,9 +205,7 @@ def load_config(source):
         for key in ("p", "c"):
             if key in chk and not _is_number(chk[key]):
                 raise ConfigError(f"{where}: '{key}' must be a number")
-        if not any(_selects(chk, *cell)
-                   for cell in itertools.product(N_values, p_values, c_values)):
-            raise ConfigError(f"{where}: selects no cell of the grid")
+        _select_cell(itertools.product(N_values, p_values, c_values), chk, where)
 
     return ExperimentConfig(
         d=d, N_values=N_values, p_values=p_values, c_values=c_values,
@@ -471,11 +469,13 @@ def _selects(chk, N, p, c):
             and ("c" not in chk or abs(c - chk["c"]) <= 1e-12))
 
 
-def _find_cell(cells, chk):
-    for cell in cells:
-        if _selects(chk, cell.N, cell.p, cell.c):
-            return cell
-    raise ConfigError(f"check matches no cell: {chk!r}")
+def _select_cell(grid, chk, where):
+    """Index of the one (N, p, c) of ``grid`` that the check selects."""
+    hits = [i for i, cell in enumerate(grid) if _selects(chk, *cell)]
+    if len(hits) != 1:
+        count = f"{len(hits)} cells" if hits else "no cell"
+        raise ConfigError(f"{where} matches {count} of the grid, not exactly one")
+    return hits[0]
 
 
 def evaluate_checks(cells, checks):
@@ -484,8 +484,9 @@ def evaluate_checks(cells, checks):
     Returns (results, all_passed).
     """
     results = []
+    grid = [(cell.N, cell.p, cell.c) for cell in cells]
     for chk in checks:
-        cell = _find_cell(cells, chk)
+        cell = cells[_select_cell(grid, chk, f"check {chk!r}")]
         metric = chk["metric"]
         if metric == "c1_over_logn_p95":
             value = cell.percentile("c1_over_logn", 95)

@@ -28,65 +28,24 @@ __all__ = [
     "verify_correspondence",
 ]
 
-# Below this pair-count the sampler may enumerate all pairs outright.
-_DENSE_PAIR_LIMIT = 1 << 21
 
-
-def _first_distinct(keys):
-    """Ascending positions of the first occurrence of each distinct key.
-
-    Equal to ``np.sort(np.unique(keys, return_index=True)[1])``, but built
-    on a plain sort: only the positions holding a repeated value need a
-    first-occurrence pass, and at sparse densities there are few or none.
-    """
-    s = np.sort(keys)
-    repeated = s[1:][s[1:] == s[:-1]]
-    if repeated.size == 0:
-        return np.arange(keys.size)
-    dup = np.isin(keys, repeated)
-    pos = np.flatnonzero(dup)
-    sub = keys[pos]
-    order = np.argsort(sub, kind="stable")
-    sub = sub[order]
-    lead = np.ones(sub.size, dtype=bool)
-    lead[1:] = sub[1:] != sub[:-1]
-    dup[pos[order[lead]]] = False
-    return np.flatnonzero(~dup)
+def _unrank_pairs(k):
+    """Pairs (u, v), u < v, of the colex ranks k = v(v-1)/2 + u: v from the
+    float root of 1 + 8k, then one integer step each way (exact for k < 2**51)."""
+    v = ((1.0 + np.sqrt(1.0 + 8.0 * k)) / 2.0).astype(np.int64)
+    v -= v * (v - 1) // 2 > k
+    v += (v + 1) * v // 2 <= k
+    return k - v * (v - 1) // 2, v
 
 
 def _sample_distinct_pairs(rng, n, m):
-    """m distinct unordered pairs, uniform among the n(n-1)/2 available.
-
-    Draw-order contract: each pass draws ``max(2 * (m - distinct), 64)``
-    endpoints ``a``, then as many endpoints ``b`` (``distinct`` counts
-    the distinct pairs drawn so far), and drops draws with ``a == b``;
-    the result is the first m distinct pairs in draw order, i.e.
-    sequential rejection sampling.  So a seed fixes the pairs and the
-    generator state after the call.  Dense requests enumerate the pair
-    space instead.
-    """
+    """m distinct pairs (u < v), a uniform m-subset of the n(n-1)/2, in
+    uniformly random order: every prefix is a uniform subset of its size.
+    A seed fixes the pairs and the generator state after the call."""
     n_pairs = n * (n - 1) // 2
     if m > n_pairs:
         raise DomainError("more distinct pairs requested than exist")
-    if m == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    if n_pairs <= _DENSE_PAIR_LIMIT and m > n_pairs // 4:
-        us, vs = np.triu_indices(n, k=1)
-        pick = rng.choice(n_pairs, size=m, replace=False)
-        return us[pick].astype(np.int64), vs[pick].astype(np.int64)
-    keys = np.empty(0, dtype=np.int64)
-    first = keys
-    while first.size < m:
-        batch = max(2 * (m - first.size), 64)
-        a = rng.integers(0, n, size=batch, dtype=np.int64)
-        b = rng.integers(0, n, size=batch, dtype=np.int64)
-        ok = a != b
-        lo = np.minimum(a[ok], b[ok])
-        hi = np.maximum(a[ok], b[ok])
-        keys = np.concatenate([keys, lo * n + hi])
-        first = _first_distinct(keys)
-    take = keys[first[:m]]
-    return take // n, take % n
+    return _unrank_pairs(rng.choice(n_pairs, size=m, replace=False))
 
 
 @dataclass(frozen=True)

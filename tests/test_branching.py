@@ -151,6 +151,10 @@ def test_ambiguous_fraction_counts_late_deaths():
                             max_particles=100_000, ambiguous_at=10)
     assert 0.0 <= est.ambiguous_frac <= 1.0
     assert est.ambiguous_frac > 0.0
+    # below c_cr every run dies; one generation caps runs of a few particles
+    est = estimate_survival(1, 0.5, dist, reps=10, seed=0, max_generations=1)
+    assert est.rho_hat == 0.3
+    assert est.ambiguous_frac == 0.3
 
 
 def test_estimate_survival_validation():

@@ -71,7 +71,7 @@ def test_merge_row_and_verify(capsys):
 README_MERGE = (
     '# percograph-csv/1 merged-summary | percograph merge --d 1 --N 1000 --p 0.3 --c 1.0 --seed 7 --verify\n'
     'seed,d,N,boundary,p,c,n_sites,K_N,C1,C2,n_long_edges\n'
-    '7,1,1000,torus,0.3,1,2001,1390,1275,15,984\n'
+    '7,1,1000,torus,0.3,1,2001,1390,1214,32,984\n'
 )
 README_THEORY = (
     '# percograph-csv/1 theory-points | percograph theory --d1-exact --p 0.3 --c 0.2 0.6 1.0\n'
@@ -158,13 +158,25 @@ def test_readme_examples_exact_bytes(capsys):
     assert out.startswith(README_PERCOLATE_HEAD)
 
 
+def test_readme_python_quick_start_runs():
+    # the README's library example is executed, so API drift fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(block, names)
+    pg, merged = names["pg"], names["merged"]
+    beta = pg.solve_beta(names["law"], c=1.0)
+    assert abs(merged.largest / names["geo"].n_vertices - beta) <= 0.02
+    assert pg.verify_correspondence(merged) == (True, "")
+
+
 D2_PLUGIN_CONFIG = {"d": 2, "N": [10, 20], "boundary": "torus", "p": 0.3,
                     "c": [0.05, 0.1, 0.2, 0.4], "replicates": 8,
                     "estimation_replicates": 4, "threads": 1, "base_seed": 2024}
 D2_PLUGIN_DIGESTS = {
     "per_k.csv": "3c30d2bc8aa11751",
-    "summary.csv": "233377618cc80585",
-    "summary.json": "9e2041b27e210e63",
+    "summary.csv": "25873684c37a09f6",
+    "summary.json": "e7ace39162e1ac68",
 }
 
 
@@ -278,13 +290,27 @@ def test_config_error_exit_code(tmp_path, capsys):
     code, _, err = _run(capsys, "experiment", "--config",
                         str(tmp_path / "missing.json"))
     assert code == 2
+    # unreadable input files: a directory, or bytes that are not UTF-8
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(b'{"d": 1, "N": 50, "p": 0.3, "c": 0.2, "note": "\xe9"}')
+    for argv in (["experiment", "--config", str(tmp_path)],
+                 ["experiment", "--config", str(latin)],
+                 ["theory", "--dist", str(tmp_path), "--c", "0.1"]):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 def test_invalid_config_fails_before_any_run(tmp_path, capsys):
-    # json writes NaN, which json.load reads back; the bad check names no cell
+    # json writes NaN, which json.load reads back; the bad checks name no
+    # cell, or two
     for mutation in ({"c": math.nan}, {"giant_threshold": 0.05},
                      {"checks": [{"metric": "c1_frac_mean", "target": 0.1,
-                                  "atol": 0.1, "c": 0.3}]}):
+                                  "atol": 0.1, "c": 0.3}]},
+                     {"c": [0.2, 0.3],
+                      "checks": [{"metric": "c1_frac_mean", "target": 0.1,
+                                  "atol": 0.1}]}):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"d": 1, "N": 50, "p": 0.3, "c": 0.2} | mutation))
         out_dir = tmp_path / "out"
@@ -334,6 +360,11 @@ def test_domain_error_exit_code(tmp_path, capsys):
     code, _, err = _run(capsys, "theory", "--dist", str(law), "--c", "0.1")
     assert code == 3
     assert "law file k 'abc'" in err
+    law.write_bytes(b"# percograph-csv/1 cluster-dist \xe9\nk,prob\n1,1.0\n")
+    code, out, err = _run(capsys, "theory", "--dist", str(law), "--c", "0.1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error: law file is not UTF-8 text")
     # densities that are negative or not finite
     for argv in (["merge", "--d", "1", "--N", "100", "--p", "0.3", "--c", "nan",
                   "--seed", "1"],

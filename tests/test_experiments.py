@@ -325,7 +325,8 @@ def test_evaluate_checks_ops():
     cfg = _config(N=2000, p=0.3, c=[0.2, 1.0], replicates=10)
     cells = sweep(cfg).cells
     checks = (
-        {"metric": "k_frac_mean", "target": "kappa", "op": "abs", "atol": 0.01},
+        {"c": 0.2, "metric": "k_frac_mean", "target": "kappa", "op": "abs",
+         "atol": 0.01},
         {"c": 1.0, "metric": "c1_frac_mean", "target": "beta", "op": "abs",
          "atol": 0.05},
         {"c": 0.2, "metric": "c1_frac_mean", "target": 0.02, "op": "le"},
@@ -337,17 +338,20 @@ def test_evaluate_checks_ops():
     assert len(results) == 5
     assert all_passed, [r for r in results if not r.passed]
     # an impossible tolerance must fail, not error out
-    bad = ({"metric": "k_frac_mean", "target": "kappa", "op": "abs", "atol": 0.0},)
+    bad = ({"c": 0.2, "metric": "k_frac_mean", "target": "kappa", "op": "abs",
+            "atol": 0.0},)
     results, all_passed = evaluate_checks(cells, bad)
     assert not all_passed and not results[0].passed
 
 
 def test_evaluate_checks_missing_cell():
     cfg = _config(replicates=3)
-    cells = [run_cell(cfg, 0.3, 0.2)]
-    with pytest.raises(ConfigError, match="matches no cell"):
-        evaluate_checks(cells, ({"p": 0.9, "metric": "k_frac_mean",
-                                 "target": "kappa", "op": "abs", "atol": 1},))
+    cells = [run_cell(cfg, 0.3, 0.2), run_cell(cfg, 0.3, 0.4)]
+    check = {"metric": "k_frac_mean", "target": "kappa", "op": "abs", "atol": 1}
+    # a check selects exactly one cell: none is an error, and so are two
+    for selector, count in (({"p": 0.9}, "no cell"), ({}, "2 cells")):
+        with pytest.raises(ConfigError, match=f"matches {count}"):
+            evaluate_checks(cells, (selector | check,))
 
 
 def test_summary_csv_round_trip():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from percograph import (
 )
 from percograph.components import component_labels
 from percograph.errors import DomainError
-from percograph.merged import _first_distinct, _sample_distinct_pairs
+from percograph.merged import _sample_distinct_pairs, _unrank_pairs
 from percograph.rng import generator
 
 
@@ -107,7 +108,7 @@ def test_pair_marginal_uniform():
     assert abs(hits / rng_checks - q) < 4 * se
 
 
-def test_dense_sampler_path():
+def test_sampler_near_the_full_pair_count():
     base = _base(N=10, p=0.1, seed=6)
     n = base.geometry.n_vertices
     merged = overlay_long_range(base, 0.8 * n, 13)  # m close to the pair count
@@ -126,12 +127,13 @@ def test_sampler_rejects_excess():
 
 
 # (d, N, p, c, base seed, overlay seed) -> (n_long_edges, digest, n_edges_unique).
-# The second case is just above the dense limit, so the rejection sampler
-# needs several passes and sees many repeated pairs.
+# numpy's choice without replacement samples few ranks out of many by
+# Floyd's algorithm and many by a partial shuffle: d1_sparse takes the
+# first path, d1_multipass (c/n ~ 0.23) the second.
 GOLDEN_OVERLAYS = [
-    ((1, 50_000, 0.3, 1.0, 3, 5), (50020, "f8669a09884a9170", 50020)),
-    ((1, 1100, 0.2, 500.0, 4, 9), (550718, "c75967083e4dca60", 486700)),
-    ((2, 30, 0.3, 40.0, 2, 7), (73921, "9d1e11530ef5e77e", 62427)),
+    ((1, 50_000, 0.3, 1.0, 3, 5), (50020, "c976d6cf6b3d1a70", 50019)),
+    ((1, 1100, 0.2, 500.0, 4, 9), (550718, "dd11000c971401ef", 486568)),
+    ((2, 30, 0.3, 40.0, 2, 7), (73921, "f127ca3e27ca088f", 62766)),
 ]
 
 
@@ -147,30 +149,52 @@ def test_overlay_draws_are_pinned(case, expected):
     assert (merged.n_long_edges, digest, macro.n_edges_unique) == expected
 
 
-def _first_occurrences(keys):
-    seen = {}
-    for i, key in enumerate(keys.tolist()):
-        seen.setdefault(key, i)
-    return sorted(seen.values())
+def _triangular(v):
+    return v * (v - 1) // 2
 
 
-_wide = st.integers(-(2 ** 62), 2 ** 62)
-_key_arrays = st.one_of(
-    st.lists(_wide, unique=True, max_size=60),                       # no repeats
-    st.builds(lambda k, n: [k] * n, _wide, st.integers(1, 40)),      # all equal
-    st.lists(st.integers(0, 4), max_size=80),                        # small alphabet
-    st.builds(lambda a, b: a + b,                                    # repeats across
-              st.lists(st.integers(0, 30), max_size=40),             # a concatenation
-              st.lists(st.integers(0, 30), max_size=40)),            # boundary
-)
+_N_PAIRS_MAX = _triangular(2 ** 26)  # every pair rank of the largest box
+_edge_ranks = st.integers(2, 2 ** 26).flatmap(
+    lambda v: st.sampled_from([_triangular(v) - 1, _triangular(v),
+                               _triangular(v) + 1]).filter(lambda k: k < _N_PAIRS_MAX))
 
 
-@given(keys=_key_arrays)
+@given(ks=st.lists(st.one_of(st.integers(0, _N_PAIRS_MAX - 1), _edge_ranks),
+                   min_size=1, max_size=50))
 @settings(max_examples=300, deadline=None)
-def test_first_distinct_matches_first_occurrence_scan(keys):
-    keys = np.array(keys, dtype=np.int64)
-    first = _first_distinct(keys)
-    assert first.tolist() == _first_occurrences(keys)
+def test_unrank_pairs_matches_integer_root(ks):
+    ks = ks + [0, _N_PAIRS_MAX - 1]
+    u, v = _unrank_pairs(np.array(ks, dtype=np.int64))
+    want_v = [(1 + math.isqrt(1 + 8 * k)) // 2 for k in ks]
+    assert v.tolist() == want_v
+    assert u.tolist() == [k - _triangular(w) for k, w in zip(ks, want_v)]
+    assert np.all((0 <= u) & (u < v))
+
+
+class _Unshuffled:
+    """A generator whose ``choice`` returns its sample unshuffled."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def choice(self, *args, **kwargs):
+        return self.rng.choice(*args, shuffle=False, **kwargs)
+
+
+def _first_pair_pvalue(wrap, m, draws=2000):
+    # chi-square p-value of the first pair drawn, over the 10 pairs at n = 5
+    firsts = []
+    for s in range(draws):
+        u, v = _sample_distinct_pairs(wrap(generator(31, m, s)), 5, m)
+        firsts.append(_triangular(v[0]) + u[0])
+    return stats.chisquare(np.bincount(firsts, minlength=10)).pvalue
+
+
+@pytest.mark.parametrize("m", [3, 10])
+def test_pairs_come_in_uniform_order(m):
+    # every prefix is a uniform subset: the first pair is uniform over all
+    assert _first_pair_pvalue(lambda rng: rng, m) > 0.001
+    assert _first_pair_pvalue(_Unshuffled, m) < 1e-6
 
 
 def test_macro_unique_edges_count_distinct_pairs():
@@ -257,7 +281,7 @@ def test_correspondence_catches_tampering():
 def test_quotient_labels_equal_direct_union(d, boundary, p, density, seed):
     base = sample_percolation(build_geometry(d, 12 if d == 2 else 60, boundary), p, seed)
     n = base.geometry.n_vertices
-    # "dense" takes the sampler's enumerate-all-pairs path
+    # "dense" draws about 30% of all pairs
     c = {"none": 0.0, "sparse": 0.8, "dense": 0.3 * n}[density]
     merged = overlay_long_range(base, c, seed + 1)
     direct = component_labels(
