@@ -26,7 +26,8 @@ __all__ = [
     "origin_cluster_size",
 ]
 
-# Refuse boxes whose vertex arrays would not fit comfortably in memory.
+# Refuse boxes whose vertex arrays would not fit comfortably in memory;
+# the bound also keeps every vertex and cluster id inside int32.
 MAX_VERTICES = 1 << 26
 
 
@@ -44,9 +45,10 @@ class LatticeGeometry:
         "free" or "torus".
     n_vertices : int
         (2N+1)**d.
-    edges_u, edges_v : ndarray
+    edges_u, edges_v : ndarray of int32
         Endpoints of every lattice bond, in canonical order: axis-major,
         then vertex index within axis.  Stable across runs by construction.
+        int32 suffices, as ``n_vertices`` is at most ``MAX_VERTICES``.
     """
 
     d: int
@@ -117,7 +119,7 @@ def build_geometry(d, N, boundary="torus"):
             f"box with {n_vertices} sites exceeds the addressable limit {MAX_VERTICES}"
         )
 
-    idx = np.arange(n_vertices, dtype=np.int64)
+    idx = np.arange(n_vertices, dtype=np.int32)
     us, vs = [], []
     for axis in range(d):
         stride = side**axis
@@ -151,7 +153,7 @@ class PercolationConfig:
         same configuration.
     partition : Partition
         The clusters of the retained bonds.
-    open_u, open_v : ndarray
+    open_u, open_v : ndarray of int32
         Endpoints of the retained bonds (needed to continue the partition
         when long-range edges are merged in later).
     """

@@ -31,11 +31,12 @@ __all__ = [
 
 def _unrank_pairs(k):
     """Pairs (u, v), u < v, of the colex ranks k = v(v-1)/2 + u: v from the
-    float root of 1 + 8k, then one integer step each way (exact for k < 2**51)."""
+    float root of 1 + 8k, then one integer step each way (exact for k < 2**51).
+    The ranks and this arithmetic are int64; u and v return as int32 ids."""
     v = ((1.0 + np.sqrt(1.0 + 8.0 * k)) / 2.0).astype(np.int64)
     v -= v * (v - 1) // 2 > k
     v += (v + 1) * v // 2 <= k
-    return k - v * (v - 1) // 2, v
+    return (k - v * (v - 1) // 2).astype(np.int32), v.astype(np.int32)
 
 
 def _sample_distinct_pairs(rng, n, m):
@@ -159,7 +160,8 @@ def build_macro_graph(merged):
     cross = mu != mv
     n_intra = int(np.count_nonzero(~cross))
     mu, mv = mu[cross], mv[cross]
-    pair_keys = np.minimum(mu, mv) * k_n + np.maximum(mu, mv)
+    # int32 ids: widen before the product, which exceeds 2**31 once K_N > 46,341
+    pair_keys = np.minimum(mu, mv).astype(np.int64) * k_n + np.maximum(mu, mv)
     n_unique = (1 + int(np.count_nonzero(np.diff(np.sort(pair_keys))))
                 if pair_keys.size else 0)
     return MacroGraph(

@@ -149,6 +149,13 @@ def test_partition_guard_rejects_out_of_order_ids():
     assert np.array_equal(Partition.from_index([0, 1, 0, 2]).first, [0, 1, 3])
 
 
+@pytest.mark.parametrize("bad", [2**32 + 1, -1, 3])
+def test_endpoint_out_of_range_raises(bad):
+    # the int32 narrowing must not wrap 2**32 + 1 onto vertex 1
+    with pytest.raises(ValueError):
+        component_labels(3, [bad], [0])
+
+
 def test_partition_identities():
     geom = build_geometry(2, 10, "free")
     cfg = sample_percolation(geom, 0.45, 11)

@@ -208,6 +208,30 @@ def test_macro_unique_edges_count_distinct_pairs():
     assert macro.n_edges_unique == len(pairs)
 
 
+def test_macro_pair_keys_do_not_wrap():
+    # p = 0: every site is its own cluster, K_N = 200,001.  Keyed in int32,
+    # 21475 * 200001 + 30000 wraps onto 0 * 200001 + 84179.
+    merged = overlay_long_range(_base(N=100_000, p=0.0), 0.0, 0)
+    merged = dataclasses.replace(
+        merged, long_u=np.array([0, 21475], dtype=np.int32),
+        long_v=np.array([84179, 30000], dtype=np.int32))
+    assert build_macro_graph(merged).n_edges_unique == 2
+
+
+def test_ids_are_int32_and_counts_int64():
+    geom = build_geometry(1, 50_000, "torus")
+    base = sample_percolation(geom, 0.3, 3)
+    merged = overlay_long_range(base, 1.0, 5)
+    ids = [geom.edges_u, geom.edges_v, base.partition.index, base.partition.first,
+           base.open_u, base.open_v, merged.long_u, merged.long_v,
+           merged.macro.index, merged.macro.first]
+    sizes = [base.partition.sizes, merged.macro.sizes]
+    assert all(a.dtype == np.int32 for a in ids)
+    assert all(a.dtype == np.int64 for a in sizes)
+    held = sum(a.nbytes for a in ids + sizes)
+    assert held <= 33 * geom.n_vertices
+
+
 def test_density_bounds():
     base = _base(N=5)
     with pytest.raises(DomainError):
