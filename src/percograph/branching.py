@@ -25,7 +25,6 @@ those that reach a cap without passing it.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri  # normal quantile, bit for bit what norm.ppf returns
 
 from .errors import DomainError
 from .rng import STREAM_BRANCHING, generator
@@ -34,8 +33,8 @@ __all__ = ["ProgenyOutcome", "simulate_progeny", "SurvivalEstimate", "estimate_s
 
 # mass allowed beyond the truncated child-type table
 _TYPE_TAIL = 1e-8
-# two-sided normal quantile of the reported confidence interval
-_CI_Z = float(ndtri(0.975))
+# two-sided normal quantile of the reported confidence interval: norm.ppf(0.975)
+_CI_Z = 1.959963984540054
 # largest mean numpy's Generator.poisson accepts ("lam value too large")
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 

@@ -153,17 +153,25 @@ class PercolationConfig:
         same configuration.
     partition : Partition
         The clusters of the retained bonds.
-    open_u, open_v : ndarray of int32
-        Endpoints of the retained bonds (needed to continue the partition
-        when long-range edges are merged in later).
+    open_bonds : ndarray of bool
+        ``open_bonds[e]``: whether lattice edge ``e`` (in the geometry's
+        canonical order) is retained.
     """
 
     geometry: LatticeGeometry
     p: float
     seed: int
     partition: Partition = field(repr=False, compare=False)
-    open_u: np.ndarray = field(repr=False, compare=False)
-    open_v: np.ndarray = field(repr=False, compare=False)
+    open_bonds: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def open_u(self):
+        """Endpoints of the retained bonds, gathered from the geometry."""
+        return self.geometry.edges_u[self.open_bonds]
+
+    @property
+    def open_v(self):
+        return self.geometry.edges_v[self.open_bonds]
 
     @property
     def labels(self):
@@ -186,7 +194,7 @@ class PercolationConfig:
 
     @property
     def n_open_edges(self):
-        return self.open_u.size
+        return int(np.count_nonzero(self.open_bonds))
 
 
 def sample_percolation(geometry, p, seed):
@@ -199,15 +207,57 @@ def sample_percolation(geometry, p, seed):
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"retention probability must lie in [0, 1], got {p}")
-    uniforms = edge_uniforms(seed, geometry.n_edges)
-    keep = uniforms < p
-    open_u = geometry.edges_u[keep]
-    open_v = geometry.edges_v[keep]
-    return PercolationConfig(
-        geometry=geometry, p=p, seed=int(seed),
-        partition=component_labels(geometry.n_vertices, open_u, open_v),
-        open_u=open_u, open_v=open_v,
-    )
+    keep = edge_uniforms(seed, geometry.n_edges) < p
+    return PercolationConfig(geometry=geometry, p=p, seed=int(seed),
+                             partition=_label_bonds(geometry, keep), open_bonds=keep)
+
+
+def _label_bonds(geometry, keep):
+    """Cluster partition of the bonds ``keep`` marks open, read off the
+    lattice's rows; it equals ``component_labels`` on those bonds.
+
+    A row is the ``side`` sites that differ only along axis 0, contiguous
+    in the flat index.  Open axis-0 bonds cut each row into runs, which
+    one cumsum numbers in order of their first site.  On the torus an
+    open wrap bond folds its row's last run into the row's first.  At
+    d = 1 the runs are the clusters; above, one ``component_labels`` call
+    on the runs joins them along the other axes.  This is the row-by-row
+    labelling of Hoshen and Kopelman, Phys. Rev. B 14, 3438 (1976).
+    """
+    side, n = geometry.side, geometry.n_vertices
+    torus = geometry.boundary == "torus"
+    n_along = n if torus else n // side * (side - 1)
+    along = keep[:n_along].reshape(n // side, -1)
+    # a site starts a run unless its bond to the previous site is open
+    starts = np.ones((n // side, side), dtype=bool)
+    starts[:, 1:] = ~along[:, :side - 1]
+    starts = starts.ravel()
+    run = np.cumsum(starts, dtype=np.int32)
+    run -= 1
+    first = np.flatnonzero(starts).astype(np.int32)
+    run_sizes = np.diff(first, append=n).astype(np.int64)
+    if torus:
+        head, last = run[::side], run[side - 1::side]
+        fold = along[:, -1] & (head != last)
+        if fold.any():
+            head, last = head[fold], last[fold]
+            # a folded run takes its head's id; the ids above it close up
+            stays = np.ones(first.size, dtype=bool)
+            stays[last] = False
+            renumber = np.cumsum(stays, dtype=np.int32)
+            renumber -= 1
+            renumber[last] = renumber[head]
+            run = renumber[run]
+            run_sizes[head] += run_sizes[last]
+            first, run_sizes = first[stays], run_sizes[stays]
+    if geometry.d == 1:
+        return Partition(index=run, sizes=run_sizes, first=first)
+    across = keep[n_along:]
+    quotient = component_labels(first.size, run[geometry.edges_u[n_along:][across]],
+                                run[geometry.edges_v[n_along:][across]])
+    return Partition(index=quotient.index[run],
+                     sizes=np.bincount(quotient.index, weights=run_sizes).astype(np.int64),
+                     first=first[quotient.first])
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError
 
@@ -65,7 +64,10 @@ def _density(c):
 def _root(f, lo, hi, what):
     """Root of f in [lo, hi] and the number of calls to f.  Brent's method
     runs to four ulps of the root (the absolute tolerance is far below
-    every root), on a bracket whose ends must not share a sign."""
+    every root), on a bracket whose ends must not share a sign.
+    scipy.optimize is imported here, on the first solve, not at start-up."""
+    from scipy.optimize import brentq
+
     f_lo, f_hi = f(lo), f(hi)
     if not f_lo * f_hi <= 0.0:  # also rejects nan
         raise DomainError(f"{what}: f({lo:.6g}) = {f_lo:.6g}, f({hi:.6g}) = {f_hi:.6g}")

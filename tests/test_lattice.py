@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import percograph.lattice
 from percograph import (
     build_geometry,
     cluster_census,
@@ -14,6 +15,8 @@ from percograph import (
 )
 from percograph.components import Partition, component_labels
 from percograph.errors import DomainError
+from percograph.lattice import _label_bonds
+from percograph.rng import edge_uniforms
 
 
 @pytest.mark.parametrize("d,N", [(1, 1), (1, 7), (2, 3), (3, 2)])
@@ -140,6 +143,42 @@ def test_partition_matches_canonical_minima(n, data):
     ids, sizes = np.unique(expected, return_counts=True)
     assert np.array_equal(part.first, ids)
     assert np.array_equal(part.sizes, sizes)
+
+
+@given(d=st.integers(1, 3), data=st.data(),
+       boundary=st.sampled_from(["free", "torus"]),
+       p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_label_bonds_equals_component_labels(d, data, boundary, p, seed):
+    N = data.draw(st.integers(1, {1: 40, 2: 8, 3: 3}[d]))
+    geom = build_geometry(d, N, boundary)
+    keep = edge_uniforms(seed, geom.n_edges) < p
+    got = _label_bonds(geom, keep)
+    want = component_labels(geom.n_vertices, geom.edges_u[keep], geom.edges_v[keep])
+    for name in ("index", "sizes", "first"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+def test_label_bonds_calls_the_graph_solver_only_across_rows(monkeypatch):
+    calls = []
+
+    def spy(n_vertices, u, v):
+        calls.append((n_vertices, len(u)))
+        return component_labels(n_vertices, u, v)
+
+    monkeypatch.setattr(percograph.lattice, "component_labels", spy)
+    sample_percolation(build_geometry(1, 500, "torus"), 0.6, 3)
+    assert calls == []
+    geom = build_geometry(2, 30, "torus")
+    cfg = sample_percolation(geom, 0.5, 3)
+    assert len(calls) == 1
+    n_runs, n_bonds = calls[0]
+    n_along = geom.n_vertices  # torus: one axis-0 bond per site, listed first
+    assert n_runs < geom.n_vertices
+    assert n_bonds == int(np.count_nonzero(cfg.open_bonds[n_along:]))
 
 
 def test_partition_guard_rejects_out_of_order_ids():

@@ -223,13 +223,14 @@ def test_ids_are_int32_and_counts_int64():
     base = sample_percolation(geom, 0.3, 3)
     merged = overlay_long_range(base, 1.0, 5)
     ids = [geom.edges_u, geom.edges_v, base.partition.index, base.partition.first,
-           base.open_u, base.open_v, merged.long_u, merged.long_v,
-           merged.macro.index, merged.macro.first]
+           merged.long_u, merged.long_v, merged.macro.index, merged.macro.first]
     sizes = [base.partition.sizes, merged.macro.sizes]
     assert all(a.dtype == np.int32 for a in ids)
     assert all(a.dtype == np.int64 for a in sizes)
-    held = sum(a.nbytes for a in ids + sizes)
-    assert held <= 33 * geom.n_vertices
+    assert base.open_bonds.dtype == np.bool_
+    assert base.open_u.dtype == base.open_v.dtype == np.int32
+    held = sum(a.nbytes for a in ids + sizes + [base.open_bonds])
+    assert held <= 31.1 * geom.n_vertices
 
 
 def test_density_bounds():
