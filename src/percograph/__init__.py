@@ -7,7 +7,7 @@ component fraction, and the subcritical logarithmic growth constant.
 
 __version__ = "0.1.0"
 
-from .branching import estimate_survival, simulate_progeny
+from .branching import estimate_survival
 from .distributions import (
     ClusterSizeDistribution,
     exact_d1,
@@ -44,8 +44,6 @@ from .theory import (
     TheoryPoint,
     beta_derivative_at_cr,
     c_critical,
-    critical_mean_degree_d1,
-    p_critical_d1,
     phase_of,
     rho_of_type,
     solve_A_z,
@@ -61,10 +59,9 @@ __all__ = [
     "LatticeGeometry", "build_geometry", "sample_percolation",
     "cluster_census", "origin_cluster_size",
     "overlay_long_range", "build_macro_graph", "verify_correspondence",
-    "CRITICAL_BAND", "c_critical", "p_critical_d1", "phase_of", "solve_beta",
-    "solve_alpha", "solve_A_z", "rho_of_type", "beta_derivative_at_cr",
-    "critical_mean_degree_d1", "theory_point", "TheoryPoint",
-    "simulate_progeny", "estimate_survival",
+    "CRITICAL_BAND", "c_critical", "phase_of", "solve_beta", "solve_alpha",
+    "solve_A_z", "rho_of_type", "beta_derivative_at_cr", "theory_point",
+    "TheoryPoint", "estimate_survival",
     "ExperimentConfig", "load_config", "run_cell", "sweep",
     "estimate_cluster_law", "evaluate_checks", "run_experiment",
     "ConfigError", "DomainError", "DivergenceError", "ConvergenceError",

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError
 from .rng import STREAM_BRANCHING, generator
 
-__all__ = ["ProgenyOutcome", "simulate_progeny", "SurvivalEstimate", "estimate_survival"]
+__all__ = ["SurvivalEstimate", "estimate_survival"]
 
 # mass allowed beyond the truncated child-type table
 _TYPE_TAIL = 1e-8
@@ -99,26 +99,6 @@ def _grow(k, c, dist, reps, rng, max_particles, max_generations):
         hit[live[capped]] = True
         live, g = live[~capped], g[~capped]
     return n, total, gens, hit
-
-
-@dataclass(frozen=True)
-class ProgenyOutcome:
-    """Result of exploring one progeny tree."""
-
-    root_type: int
-    n_particles: int     # particles generated, root included
-    type_sum: int        # summed types over all particles
-    generations: int
-    hit_cap: bool        # reached a cap; treated as survival
-
-
-def simulate_progeny(k, c, dist, seed, max_particles=1_000_000,
-                     max_generations=10_000):
-    """Explore the progeny tree of a single type-k particle: the lockstep
-    engine run with one replicate."""
-    n, total, gens, hit = _grow(k, c, dist, 1, generator(seed, STREAM_BRANCHING),
-                                int(max_particles), int(max_generations))
-    return ProgenyOutcome(int(k), int(n[0]), int(total[0]), int(gens[0]), bool(hit[0]))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import io
 import json
-import os
 import sys
 from importlib import resources
 
@@ -20,7 +19,7 @@ from .branching import estimate_survival
 from .errors import CheckFailure, ConfigError, ConvergenceError, DomainError
 from .fileio import dump_json, fmt, write_csv
 from .lattice import build_geometry, cluster_census, sample_percolation
-from .merged import build_macro_graph, overlay_long_range, verify_correspondence
+from .merged import overlay_long_range, verify_correspondence
 from .theory import THEORY_COLUMNS, theory_point
 
 
@@ -85,7 +84,7 @@ def _cmd_merge(args, invocation):
     base = sample_percolation(geom, args.p, args.seed)
     merged = overlay_long_range(base, args.c, args.seed)
     if args.verify:
-        ok, report = verify_correspondence(merged, build_macro_graph(merged))
+        ok, report = verify_correspondence(merged)
         if not ok:
             raise CheckFailure(f"macro correspondence failed: {report}")
     columns = ["seed", "d", "N", "boundary", "p", "c", "n_sites",
@@ -138,19 +137,10 @@ def _cmd_experiment(args, invocation):
         ref = resources.files("percograph.configs").joinpath("acceptance_d1.json")
         source = json.loads(ref.read_text())
     config = experiments.load_config(source)
-    # --threads, else PERCOGRAPH_THREADS, else the config's value
-    threads, origin = args.threads, "--threads"
-    if threads is None and "PERCOGRAPH_THREADS" in os.environ:
-        origin = "PERCOGRAPH_THREADS"
-        try:
-            threads = int(os.environ[origin])
-        except ValueError:
-            raise ConfigError(f"{origin} must be an integer, got "
-                              f"{os.environ[origin]!r}") from None
-    if threads is not None:
-        if threads < 1:
-            raise ConfigError(f"{origin} must be >= 1, got {threads}")
-        config = dataclasses.replace(config, threads=threads)
+    if args.threads is not None:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        config = dataclasses.replace(config, threads=args.threads)
     result, checks = experiments.run_experiment(
         config, out_dir=args.out_dir, check=args.check, invocation=invocation)
     if args.command == "experiment" and args.out_dir is None:
@@ -214,8 +204,7 @@ def build_parser():
     sub.add_argument("--check", action="store_true",
                      help="evaluate the config's embedded checks")
     sub.add_argument("--threads", type=int, default=None,
-                     help="replicate parallelism "
-                          "(default: PERCOGRAPH_THREADS or the config)")
+                     help="replicate parallelism (default: the config's threads)")
     sub.set_defaults(func=_cmd_experiment)
 
     sub = subs.add_parser("check", help="run the bundled acceptance config")

@@ -23,7 +23,7 @@ returns a truncation-error estimate alongside the value, and through
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -280,7 +280,7 @@ def from_table(ks, probs, tail_mass=0.0):
         raise DomainError("table needs matching 1-d size and probability arrays")
     _check_support(ks)
     if np.any(probs < 0.0) or not 0.0 <= tail_mass < 1.0:
-        raise DomainError("probabilities must be nonnegative")
+        raise DomainError("probabilities must be nonnegative, the tail mass in [0, 1)")
     total = probs.sum() + tail_mass
     if not abs(total - 1.0) <= 1e-10:  # also rejects nan
         raise DomainError(f"probabilities sum to {total!r}, not 1")
@@ -358,11 +358,12 @@ def from_csv(fh):
     tail = _parse(float, fields.get("tail_mass", "0.0"), "tail_mass")
     if "count" in columns:
         # probabilities come from the exact counts, not the rounded prob column
-        _check_support(ks)
         counts = np.array([_parse(np.int64, r[2], "count") for r in rows], dtype=np.int64)
         if np.any(counts < 0) or counts.sum() <= 0:
             raise DomainError("counts must be >= 0 with a positive total")
         n_configs = _parse(int, fields.get("n_configs"), "n_configs")
-        return TableLaw(ks=ks, probs=counts / float(counts.sum()), tail_mass=tail,
-                        counts=counts, n_configs=n_configs)
+        if n_configs < 1:
+            raise DomainError(f"law file n_configs must be >= 1, got {n_configs}")
+        return replace(from_table(ks, counts / float(counts.sum()), tail),
+                       counts=counts, n_configs=n_configs)
     return from_table(ks, [_parse(float, r[1], "prob") for r in rows], tail)

@@ -553,7 +553,11 @@ def write_per_k_csv(cells, fh, invocation=None):
 
 def run_experiment(config, out_dir=None, check=False, invocation=None):
     """Run a sweep, write its CSV/JSON outputs, optionally evaluate the
-    config's embedded checks.  Returns (SweepResult, check results or None)."""
+    config's embedded checks.  Returns (SweepResult, check results or None).
+    Asking to check a config that has no checks is a ConfigError, raised
+    before any replicate runs."""
+    if check and not config.checks:
+        raise ConfigError("the config has no checks to evaluate")
     result = sweep(config)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -83,14 +83,6 @@ class LatticeGeometry:
         strides = self.side ** np.arange(self.d, dtype=np.int64)
         return digits @ strides
 
-    def vertex_coord(self, index):
-        """Inverse of :meth:`vertex_index`."""
-        index = np.asarray(index, dtype=np.int64)
-        if np.any(index < 0) or np.any(index >= self.n_vertices):
-            raise DomainError("vertex index out of range")
-        digits = (index[..., None] // self.side ** np.arange(self.d, dtype=np.int64)) % self.side
-        return digits - self.N
-
 
 def build_geometry(d, N, boundary="torus"):
     """Construct the box geometry with its edge list.
@@ -179,22 +171,13 @@ class PercolationConfig:
         return self.partition.labels
 
     @property
-    def cluster_ids(self):
-        """Canonical ids (smallest vertex), one per cluster, ascending."""
-        return self.partition.first
-
-    @property
     def cluster_sizes(self):
-        """Sizes aligned with ``cluster_ids``."""
+        """Sites per cluster, clusters in order of their smallest site."""
         return self.partition.sizes
 
     @property
     def n_clusters(self):
         return self.partition.sizes.size
-
-    @property
-    def n_open_edges(self):
-        return int(np.count_nonzero(self.open_bonds))
 
 
 def sample_percolation(geometry, p, seed):

@@ -91,10 +91,6 @@ class MergedGraph:
     def n_components(self):
         return self.macro.sizes.size
 
-    def sizes_desc(self):
-        """Component sizes, largest first."""
-        return np.sort(self.component_sizes)[::-1]
-
     @property
     def largest(self):
         return int(self.component_sizes.max()) if self.n_components else 0
@@ -103,7 +99,7 @@ class MergedGraph:
     def second_largest(self):
         if self.n_components < 2:
             return 0
-        return int(self.sizes_desc()[1])
+        return int(np.partition(self.component_sizes, -2)[-2])
 
 
 def overlay_long_range(base, c, seed):

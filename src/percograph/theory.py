@@ -32,14 +32,12 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "CRITICAL_BAND",
     "c_critical",
-    "p_critical_d1",
     "phase_of",
     "solve_beta",
     "rho_of_type",
     "AlphaSolution",
     "solve_alpha",
     "beta_derivative_at_cr",
-    "critical_mean_degree_d1",
     "AzResult",
     "solve_A_z",
     "TheoryPoint",
@@ -86,17 +84,9 @@ def c_critical(dist):
     return 1.0 / mean
 
 
-def p_critical_d1(c):
-    """Inverse of the critical curve on the line: retention probability at
-    which density c becomes critical, (1-c)/(1+c) for 0 < c < 1."""
-    c = float(c)
-    if not 0.0 < c < 1.0:
-        raise DomainError(f"critical retention only defined for 0 < c < 1, got {c}")
-    return (1.0 - c) / (1.0 + c)
-
-
 def phase_of(dist, c):
     """"subcritical", "critical" (within CRITICAL_BAND), or "supercritical"."""
+    c = _density(c)
     ccr = c_critical(dist)
     if abs(c - ccr) < CRITICAL_BAND:
         return "critical"
@@ -182,15 +172,6 @@ def beta_derivative_at_cr(dist):
     if not np.isfinite(m2) or m2 <= 0.0:
         raise DomainError("second moment of the cluster law is not usable")
     return 2.0 * m1**3 / m2
-
-
-def critical_mean_degree_d1(p):
-    """Mean degree of the line model on its critical curve:
-    2p + (1-p)/(1+p) = 1 + 2p^2/(1+p), always in [1, 2)."""
-    p = float(p)
-    if not 0.0 <= p < 1.0:
-        raise DomainError(f"retention probability must lie in [0, 1), got {p}")
-    return 2.0 * p + (1.0 - p) / (1.0 + p)
 
 
 class AzResult(NamedTuple):

@@ -10,35 +10,38 @@ from percograph import (
     from_table,
     point_mass,
     rho_of_type,
-    simulate_progeny,
     solve_beta,
 )
-from percograph.branching import _CI_Z, _type_sums, _type_table
+from percograph.branching import _CI_Z, _grow, _type_sums, _type_table
 from percograph.errors import DomainError
-from percograph.rng import generator
+from percograph.rng import STREAM_BRANCHING, generator
+
+
+def _tree(k, c, dist, seed, max_particles=1_000_000, max_generations=10_000):
+    """One type-k tree, the lockstep engine run with a single replicate on
+    the branching stream of ``seed``: (particles, type sum, generations,
+    hit a cap)."""
+    n, total, gens, hit = _grow(k, c, dist, 1, generator(seed, STREAM_BRANCHING),
+                                max_particles, max_generations)
+    return int(n[0]), int(total[0]), int(gens[0]), bool(hit[0])
 
 
 def test_no_branching_at_zero_density():
-    out = simulate_progeny(4, 0.0, exact_d1(0.3), seed=2)
-    assert out.n_particles == 1
-    assert out.type_sum == 4
-    assert out.generations == 0
-    assert not out.hit_cap
+    assert _tree(4, 0.0, exact_d1(0.3), seed=2) == (1, 4, 0, False)
 
 
 def test_progeny_validation():
     with pytest.raises(DomainError):
-        simulate_progeny(0, 0.5, exact_d1(0.3), seed=0)
+        _tree(0, 0.5, exact_d1(0.3), seed=0)
     with pytest.raises(DomainError):
-        simulate_progeny(1, -0.5, exact_d1(0.3), seed=0)
+        _tree(1, -0.5, exact_d1(0.3), seed=0)
 
 
 def test_progeny_determinism():
-    a = simulate_progeny(2, 0.8, exact_d1(0.4), seed=77)
-    b = simulate_progeny(2, 0.8, exact_d1(0.4), seed=77)
+    a = _tree(2, 0.8, exact_d1(0.4), seed=77)
+    b = _tree(2, 0.8, exact_d1(0.4), seed=77)
     assert a == b
-    runs = {simulate_progeny(2, 0.8, exact_d1(0.4), seed=s).n_particles
-            for s in range(20)}
+    runs = {_tree(2, 0.8, exact_d1(0.4), seed=s)[0] for s in range(20)}
     assert len(runs) > 1
 
 
@@ -86,8 +89,8 @@ def test_type_sum_skips_zero_probability_sizes():
 def test_point_mass_total_progeny_mean():
     # single-type subcritical tree: E(total particles) = 1/(1 - c)
     c = 0.5
-    totals = np.array([simulate_progeny(1, c, point_mass(1), seed=s).n_particles
-                       for s in range(3000)], dtype=float)
+    totals = np.array([_tree(1, c, point_mass(1), seed=s)[0] for s in range(3000)],
+                      dtype=float)
     assert not np.any(totals > 1e5)  # all died out
     expected = 1.0 / (1.0 - c)
     # total-progeny variance sigma^2/(1-m)^3 with sigma^2 = m = c
@@ -99,17 +102,17 @@ def test_subcritical_always_dies():
     dist = exact_d1(0.3)
     c = 0.3  # c * E|C| = 0.557 < 1
     for s in range(300):
-        out = simulate_progeny(1, c, dist, seed=s, max_particles=10**6)
-        assert not out.hit_cap
+        _, _, _, hit_cap = _tree(1, c, dist, seed=s, max_particles=10**6)
+        assert not hit_cap
 
 
 def test_caps_trigger():
-    out = simulate_progeny(5, 5.0, point_mass(1), seed=1, max_particles=50)
-    assert out.hit_cap
-    assert out.n_particles > 50
-    out2 = simulate_progeny(5, 5.0, point_mass(1), seed=1, max_generations=2)
-    assert out2.hit_cap
-    assert out2.generations == 2
+    n_particles, _, _, hit_cap = _tree(5, 5.0, point_mass(1), seed=1, max_particles=50)
+    assert hit_cap
+    assert n_particles > 50
+    _, _, generations, hit_cap = _tree(5, 5.0, point_mass(1), seed=1, max_generations=2)
+    assert hit_cap
+    assert generations == 2
 
 
 def test_survival_matches_fixed_point():
@@ -165,7 +168,7 @@ def test_estimate_survival_validation():
         with pytest.raises(DomainError, match="caps must be >= 1"):
             estimate_survival(1, 0.5, exact_d1(0.3), reps=10, **caps)
         with pytest.raises(DomainError, match="caps must be >= 1"):
-            simulate_progeny(1, 0.5, exact_d1(0.3), seed=0, **caps)
+            _tree(1, 0.5, exact_d1(0.3), seed=0, **caps)
 
 
 def test_ci_quantile_is_the_normal_quantile_bit_for_bit():

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import percograph
-from percograph import cli
+from percograph import cli, experiments
 from percograph.cli import main
 from percograph.errors import ConvergenceError
 from percograph.fileio import read_csv
@@ -436,26 +436,40 @@ def test_check_subcommand_with_custom_config(tmp_path, capsys):
     assert "1/1 checks passed" in out
 
 
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PERCOGRAPH_THREADS", "2")
+def test_check_without_checks_is_a_config_error(tmp_path, capsys, monkeypatch):
+    config = {"d": 1, "N": 300, "p": 0.3, "c": [0.2], "replicates": 4}
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+
+    def no_sweep(_):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(experiments, "sweep", no_sweep)
+    for argv in (["check", "--config", str(path)],
+                 ["experiment", "--config", str(path), "--out-dir", str(out_dir),
+                  "--check"]):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("config error: ") and "no checks" in err
+        assert not out_dir.exists()
+
+
+def test_threads_env_fallback(tmp_path, capsys):
     config = {"d": 1, "N": 100, "p": 0.3, "c": [0.2], "replicates": 4}
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(config))
-    code, out, _ = _run(capsys, "experiment", "--config", str(path))
+    code, out, _ = _run(capsys, "experiment", "--config", str(path), "--threads", "2")
     assert code == 0
-    # threaded and serial runs agree byte for byte
-    monkeypatch.delenv("PERCOGRAPH_THREADS")
+    # threaded and serial runs agree byte for byte, past the invocation
     _, serial, _ = _run(capsys, "experiment", "--config", str(path))
-    assert out == serial
-    # a malformed or non-positive count is a config error that names its source
-    for env, flags, origin in (("abc", (), "PERCOGRAPH_THREADS"),
-                               ("-5", (), "PERCOGRAPH_THREADS"),
-                               ("2", ("--threads", "0"), "--threads")):
-        monkeypatch.setenv("PERCOGRAPH_THREADS", env)
-        code, out, err = _run(capsys, "experiment", "--config", str(path), *flags)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("config error: ") and origin in err
+    assert out.replace(" --threads 2", "", 1) == serial
+    # a non-positive count is a config error that names its source
+    code, out, err = _run(capsys, "experiment", "--config", str(path), "--threads", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ") and "--threads" in err
 
 
 def test_entry_point_installed():

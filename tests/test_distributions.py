@@ -201,8 +201,14 @@ LAW_HEAD = "# percograph-csv/1 cluster-dist\n"
     "# kind=exact_d1\nk,prob",                                     # no p
     "# kind=exact_d1 p=abc\nk,prob",                               # p not numeric
     "# kind=empirical tail_mass=0.0\n# n_sites=6\nk,prob,count\n1,0.5,3\n2,0.5,3",
+    *(f"# kind=empirical tail_mass={tail}\n# n_sites=6 n_configs=1\n"
+      "k,prob,count\n1,0.5,3\n2,0.5,3" for tail in ("0.5", "-3", "nan", "2.0")),
+    *(f"# kind=empirical tail_mass=0.0\n# n_sites=6 n_configs={n}\n"
+      "k,prob,count\n1,0.5,3\n2,0.5,3" for n in ("-4", "0")),
 ], ids=["k_word", "k_fraction", "prob_word", "prob_nan", "short_row", "tail_word",
-        "exact_no_p", "exact_p_word", "empirical_no_n_configs"])
+        "exact_no_p", "exact_p_word", "empirical_no_n_configs",
+        "empirical_tail_half", "empirical_tail_negative", "empirical_tail_nan",
+        "empirical_tail_two", "empirical_n_configs_negative", "empirical_n_configs_zero"])
 def test_csv_malformed_law_file_is_a_domain_error(text):
     with pytest.raises(DomainError):
         from_csv(io.StringIO(LAW_HEAD + text + "\n"))

@@ -19,6 +19,13 @@ from percograph.lattice import _label_bonds
 from percograph.rng import edge_uniforms
 
 
+def _coords(geom, idx):
+    """Lattice coordinates of flat indices, axis 0 fastest: the oracle
+    for ``vertex_index``."""
+    digits = np.unravel_index(idx, (geom.side,) * geom.d, order="F")
+    return np.stack(digits, axis=-1) - geom.N
+
+
 @pytest.mark.parametrize("d,N", [(1, 1), (1, 7), (2, 3), (3, 2)])
 def test_edge_counts(d, N):
     side = 2 * N + 1
@@ -44,8 +51,8 @@ def test_edges_are_valid_and_distinct():
 def test_torus_edges_join_lattice_neighbours():
     geom = build_geometry(2, 2, "torus")
     side = geom.side
-    cu = geom.vertex_coord(geom.edges_u)
-    cv = geom.vertex_coord(geom.edges_v)
+    cu = _coords(geom, geom.edges_u)
+    cv = _coords(geom, geom.edges_v)
     diff = np.abs(cu - cv)
     # each bond moves by 1 along exactly one axis, modulo wrap-around
     step = np.minimum(diff, side - diff)
@@ -68,14 +75,14 @@ def test_geometry_validation():
 def test_index_coord_round_trip(d, N, data):
     geom = build_geometry(d, N, "free")
     idx = data.draw(st.integers(0, geom.n_vertices - 1))
-    coord = geom.vertex_coord(idx)
+    coord = _coords(geom, idx)
     assert np.all(np.abs(coord) <= N)
     assert int(geom.vertex_index(coord)) == idx
 
 
 def test_origin_index_is_box_center():
     geom = build_geometry(2, 3, "torus")
-    assert np.all(geom.vertex_coord(geom.origin_index) == 0)
+    assert np.all(_coords(geom, geom.origin_index) == 0)
 
 
 def test_coord_out_of_box_rejected():
@@ -83,17 +90,17 @@ def test_coord_out_of_box_rejected():
     with pytest.raises(DomainError):
         geom.vertex_index([4, 0])
     with pytest.raises(DomainError):
-        geom.vertex_coord(geom.n_vertices)
+        geom.vertex_index([0, -4])
 
 
 def test_p_extremes():
     geom = build_geometry(2, 4, "torus")
     empty = sample_percolation(geom, 0.0, 5)
-    assert empty.n_open_edges == 0
+    assert np.count_nonzero(empty.open_bonds) == 0
     assert empty.n_clusters == geom.n_vertices
     assert np.array_equal(empty.labels, np.arange(geom.n_vertices))
     full = sample_percolation(geom, 1.0, 5)
-    assert full.n_open_edges == geom.n_edges
+    assert np.count_nonzero(full.open_bonds) == geom.n_edges
     assert full.n_clusters == 1
     assert full.cluster_sizes[0] == geom.n_vertices
 
@@ -222,7 +229,7 @@ def test_monotone_coupling():
     for seed in range(5):
         lo = sample_percolation(geom, 0.3, seed)
         hi = sample_percolation(geom, 0.55, seed)
-        assert lo.n_open_edges <= hi.n_open_edges
+        assert np.count_nonzero(lo.open_bonds) <= np.count_nonzero(hi.open_bonds)
         open_lo = set(zip(lo.open_u.tolist(), lo.open_v.tolist()))
         open_hi = set(zip(hi.open_u.tolist(), hi.open_v.tolist()))
         assert open_lo <= open_hi
@@ -243,7 +250,7 @@ def test_seed_determinism():
 def test_open_edge_count_binomial():
     geom = build_geometry(2, 20, "torus")
     p = 0.37
-    counts = np.array([sample_percolation(geom, p, s).n_open_edges
+    counts = np.array([np.count_nonzero(sample_percolation(geom, p, s).open_bonds)
                        for s in range(40)], dtype=float)
     mean = geom.n_edges * p
     se = np.sqrt(geom.n_edges * p * (1 - p) / 40)
@@ -271,6 +278,6 @@ def test_d1_free_chain_structure():
     geom = build_geometry(1, 30, "free")
     cfg = sample_percolation(geom, 0.5, 2)
     labels = cfg.labels
-    for cid, size in zip(cfg.cluster_ids, cfg.cluster_sizes):
+    for cid, size in zip(cfg.partition.first, cfg.cluster_sizes):
         members = np.flatnonzero(labels == cid)
         assert members.max() - members.min() + 1 == size

@@ -12,10 +12,8 @@ from percograph import (
     CRITICAL_BAND,
     beta_derivative_at_cr,
     c_critical,
-    critical_mean_degree_d1,
     exact_d1,
     from_table,
-    p_critical_d1,
     phase_of,
     point_mass,
     rho_of_type,
@@ -51,15 +49,6 @@ def test_critical_curve_closed_form():
         assert c_critical(exact_d1(p)) == pytest.approx((1 - p) / (1 + p), abs=1e-12)
     assert c_critical(point_mass(1)) == 1.0
     assert c_critical(from_table([2], [1.0])) == 0.5
-
-
-def test_p_critical_round_trip():
-    for p in (0.1, 0.35, 0.8):
-        assert p_critical_d1(c_critical(exact_d1(p))) == pytest.approx(p, abs=1e-12)
-    with pytest.raises(DomainError):
-        p_critical_d1(1.0)
-    with pytest.raises(DomainError):
-        p_critical_d1(0.0)
 
 
 def test_phase_classification():
@@ -165,18 +154,6 @@ def test_beta_derivative_finite_difference():
         assert abs(fd - slope) / slope < 0.1
 
 
-def test_critical_mean_degree():
-    assert critical_mean_degree_d1(0.0) == pytest.approx(1.0, abs=1e-15)
-    assert critical_mean_degree_d1(0.5) == pytest.approx(4.0 / 3.0, abs=1e-12)
-    grid = np.linspace(0.0, 0.99, 34)
-    vals = np.array([critical_mean_degree_d1(p) for p in grid])
-    assert np.all(np.diff(vals) > 0)
-    assert np.all((vals >= 1.0) & (vals < 2.0))
-    assert np.allclose(vals, 1.0 + 2.0 * grid**2 / (1.0 + grid), atol=1e-12)
-    with pytest.raises(DomainError):
-        critical_mean_degree_d1(1.0)
-
-
 def test_series_fixed_point_matches_scalar_iteration():
     # point mass: A = z * exp(c * (A - 1)); iterate with plain floats
     c, z = 0.5, 1.1
@@ -280,7 +257,8 @@ def test_theory_points_csv(tmp_path):
     lambda c: solve_beta(exact_d1(0.3), c),
     lambda c: solve_alpha(exact_d1(0.3), c),
     lambda c: solve_A_z(exact_d1(0.3), c, 1.0),
-], ids=["beta", "alpha", "A_z"])
+    lambda c: phase_of(exact_d1(0.3), c),
+], ids=["beta", "alpha", "A_z", "phase_of"])
 def test_solvers_reject_unusable_density(solve, c):
     with pytest.raises(DomainError, match="density"):
         solve(c)
