@@ -115,6 +115,8 @@ def _as_number_list(value, name, kind=float):
         if kind is int and not isinstance(item, int):
             raise ConfigError(f"field '{name}': {item!r} is not an integer")
         out.append(kind(item))
+    if len(set(out)) < len(out):
+        raise ConfigError(f"field '{name}': repeated values in {value!r}")
     return tuple(out)
 
 

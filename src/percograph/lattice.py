@@ -33,7 +33,10 @@ MAX_VERTICES = 1 << 26
 
 @dataclass(frozen=True)
 class LatticeGeometry:
-    """Box geometry and its canonical edge enumeration.
+    """Box geometry and its canonical bond numbering.
+
+    Bonds are numbered, not stored: axis-major, then by lower endpoint
+    within the axis.  ``bond_ends`` recovers any bond's endpoints.
 
     Attributes
     ----------
@@ -43,28 +46,30 @@ class LatticeGeometry:
         Box radius; side length is 2N+1.
     boundary : str
         "free" or "torus".
-    n_vertices : int
-        (2N+1)**d.
-    edges_u, edges_v : ndarray of int32
-        Endpoints of every lattice bond, in canonical order: axis-major,
-        then vertex index within axis.  Stable across runs by construction.
-        int32 suffices, as ``n_vertices`` is at most ``MAX_VERTICES``.
     """
 
     d: int
     N: int
     boundary: str
-    n_vertices: int = field(repr=False)
-    edges_u: np.ndarray = field(repr=False, compare=False)
-    edges_v: np.ndarray = field(repr=False, compare=False)
 
     @property
     def side(self):
         return 2 * self.N + 1
 
     @property
+    def n_vertices(self):
+        return self.side**self.d
+
+    @property
+    def n_along(self):
+        """Bonds per axis: one per site on the torus, ``side - 1`` per row
+        of the axis in a free box."""
+        n = self.n_vertices
+        return n if self.boundary == "torus" else n // self.side * (self.side - 1)
+
+    @property
     def n_edges(self):
-        return self.edges_u.size
+        return self.d * self.n_along
 
     @property
     def origin_index(self):
@@ -83,9 +88,32 @@ class LatticeGeometry:
         strides = self.side ** np.arange(self.d, dtype=np.int64)
         return digits @ strides
 
+    def bond_ends(self, bonds):
+        """Endpoints (u, v) of the bonds numbered ``bonds``, as int32.
+
+        Bond j of axis a joins u to u + side**a.  On the torus u = j, and
+        a u in the top layer of the axis wraps to the bottom one; in a
+        free box, which skips the top layer, u = j + side**a * floor(j /
+        (side**a * (side - 1))).  int32 holds every step: as side**d is at
+        most ``MAX_VERTICES``, d <= 16 and bond numbers stay below 2**30.
+        """
+        bonds = np.asarray(bonds)
+        if bonds.size and (bonds.min() < 0 or bonds.max() >= self.n_edges):
+            raise ValueError("bond number outside [0, n_edges)")
+        side = self.side
+        axis, j = np.divmod(bonds.astype(np.int32), self.n_along)
+        stride = np.int32(side)**axis
+        if self.boundary == "torus":
+            u = j
+            v = np.where(u // stride % side == side - 1, u - (side - 1) * stride, u + stride)
+        else:
+            u = j + stride * (j // (stride * (side - 1)))
+            v = u + stride
+        return u, v
+
 
 def build_geometry(d, N, boundary="torus"):
-    """Construct the box geometry with its edge list.
+    """Construct the box geometry.
 
     Parameters
     ----------
@@ -104,31 +132,11 @@ def build_geometry(d, N, boundary="torus"):
         raise DomainError(f"box radius must be >= 1, got {N}")
     if boundary not in ("free", "torus"):
         raise DomainError(f"boundary must be 'free' or 'torus', got {boundary!r}")
-    side = 2 * N + 1
-    n_vertices = side**d
-    if n_vertices > MAX_VERTICES:
-        raise DomainError(
-            f"box with {n_vertices} sites exceeds the addressable limit {MAX_VERTICES}"
-        )
-
-    idx = np.arange(n_vertices, dtype=np.int32)
-    us, vs = [], []
-    for axis in range(d):
-        stride = side**axis
-        digit = (idx // stride) % side
-        interior = digit < side - 1
-        if boundary == "free":
-            u = idx[interior]
-            v = u + stride
-        else:
-            u = idx
-            v = np.where(interior, idx + stride, idx - (side - 1) * stride)
-        us.append(u)
-        vs.append(v)
-    edges_u = np.concatenate(us)
-    edges_v = np.concatenate(vs)
-    return LatticeGeometry(d=d, N=N, boundary=boundary, n_vertices=n_vertices,
-                           edges_u=edges_u, edges_v=edges_v)
+    geometry = LatticeGeometry(d=d, N=N, boundary=boundary)
+    if geometry.n_vertices > MAX_VERTICES:
+        raise DomainError(f"box with {geometry.n_vertices} sites exceeds the "
+                          f"addressable limit {MAX_VERTICES}")
+    return geometry
 
 
 @dataclass(frozen=True)
@@ -157,13 +165,9 @@ class PercolationConfig:
     open_bonds: np.ndarray = field(repr=False, compare=False)
 
     @property
-    def open_u(self):
-        """Endpoints of the retained bonds, gathered from the geometry."""
-        return self.geometry.edges_u[self.open_bonds]
-
-    @property
-    def open_v(self):
-        return self.geometry.edges_v[self.open_bonds]
+    def open_ends(self):
+        """Endpoints (u, v) of the retained bonds, as int32."""
+        return self.geometry.bond_ends(np.flatnonzero(self.open_bonds))
 
     @property
     def labels(self):
@@ -201,15 +205,15 @@ def _label_bonds(geometry, keep):
 
     A row is the ``side`` sites that differ only along axis 0, contiguous
     in the flat index.  Open axis-0 bonds cut each row into runs, which
-    one cumsum numbers in order of their first site.  On the torus an
-    open wrap bond folds its row's last run into the row's first.  At
-    d = 1 the runs are the clusters; above, one ``component_labels`` call
-    on the runs joins them along the other axes.  This is the row-by-row
-    labelling of Hoshen and Kopelman, Phys. Rev. B 14, 3438 (1976).
+    one cumsum numbers in order of their first site.  At d = 1 the runs
+    are the clusters, once an open wrap bond on the torus folds the last
+    run into the first.  Above, one ``component_labels`` call on the runs
+    joins them along the open bonds off axis 0 and, on the torus, the
+    open wrap bonds of the rows.  This is the row-by-row labelling of
+    Hoshen and Kopelman, Phys. Rev. B 14, 3438 (1976).
     """
-    side, n = geometry.side, geometry.n_vertices
+    side, n, n_along = geometry.side, geometry.n_vertices, geometry.n_along
     torus = geometry.boundary == "torus"
-    n_along = n if torus else n // side * (side - 1)
     along = keep[:n_along].reshape(n // side, -1)
     # a site starts a run unless its bond to the previous site is open
     starts = np.ones((n // side, side), dtype=bool)
@@ -219,25 +223,18 @@ def _label_bonds(geometry, keep):
     run -= 1
     first = np.flatnonzero(starts).astype(np.int32)
     run_sizes = np.diff(first, append=n).astype(np.int64)
-    if torus:
-        head, last = run[::side], run[side - 1::side]
-        fold = along[:, -1] & (head != last)
-        if fold.any():
-            head, last = head[fold], last[fold]
-            # a folded run takes its head's id; the ids above it close up
-            stays = np.ones(first.size, dtype=bool)
-            stays[last] = False
-            renumber = np.cumsum(stays, dtype=np.int32)
-            renumber -= 1
-            renumber[last] = renumber[head]
-            run = renumber[run]
-            run_sizes[head] += run_sizes[last]
-            first, run_sizes = first[stays], run_sizes[stays]
     if geometry.d == 1:
+        if torus and keep[-1] and first.size > 1:
+            run[first[-1]:] = 0
+            run_sizes[0] += run_sizes[-1]
+            first, run_sizes = first[:-1], run_sizes[:-1]
         return Partition(index=run, sizes=run_sizes, first=first)
-    across = keep[n_along:]
-    quotient = component_labels(first.size, run[geometry.edges_u[n_along:][across]],
-                                run[geometry.edges_v[n_along:][across]])
+    bonds = np.flatnonzero(keep[n_along:]) + n_along
+    if torus:
+        # the wrap bond of a row is the axis-0 bond numbered by its last site
+        bonds = np.concatenate([np.flatnonzero(along[:, -1]) * side + (side - 1), bonds])
+    u, v = geometry.bond_ends(bonds)
+    quotient = component_labels(first.size, run[u], run[v])
     return Partition(index=quotient.index[run],
                      sizes=np.bincount(quotient.index, weights=run_sizes).astype(np.int64),
                      first=first[quotient.first])

@@ -185,11 +185,11 @@ def verify_correspondence(merged, macro=None):
     if macro is None:
         macro = build_macro_graph(merged)
     base = merged.base
-    direct = component_labels(
-        base.geometry.n_vertices,
-        np.concatenate([base.open_u, merged.long_u]),
-        np.concatenate([base.open_v, merged.long_v]),
-    )
+    u, v = base.open_ends
+    # the joined arrays go in as temporaries, which the solver frees
+    direct = component_labels(base.geometry.n_vertices,
+                              np.concatenate([u, merged.long_u]),
+                              np.concatenate([v, merged.long_v]))
     if direct.sizes.size != macro.component_ids.size:
         return False, (f"component counts differ: merged {direct.sizes.size}, "
                        f"macro {macro.component_ids.size}")

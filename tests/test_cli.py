@@ -303,9 +303,10 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 
 def test_invalid_config_fails_before_any_run(tmp_path, capsys):
-    # json writes NaN, which json.load reads back; the bad checks name no
-    # cell, or two
+    # json writes NaN, which json.load reads back; c repeats a value; the
+    # bad checks name no cell, or two
     for mutation in ({"c": math.nan}, {"giant_threshold": 0.05},
+                     {"c": [0.2, 0.2, 1.0]},
                      {"checks": [{"metric": "c1_frac_mean", "target": 0.1,
                                   "atol": 0.1, "c": 0.3}]},
                      {"c": [0.2, 0.3],

@@ -84,6 +84,10 @@ _CHECK = {"metric": "c1_frac_mean", "target": 0.1, "atol": 0.01}
     ({"checks": [_CHECK | {"p": 0.3 + 1e-9}]}, "no cell"),
     ({"checks": [_CHECK | {"c": 0.5}]}, "no cell"),
     ({"checks": [_CHECK | {"N": 60}]}, "no cell"),
+    # a repeated value would run its cells twice and shrink the grid step
+    ({"N": [50, 100, 50]}, "field 'N': repeated values"),
+    ({"p": [0.3, 0.3]}, "field 'p': repeated values"),
+    ({"c": [0.2, 0.2, 1.0]}, "field 'c': repeated values"),
 ])
 def test_load_config_rejects(mutation, fragment):
     raw = {"d": 1, "N": 50, "p": 0.3, "c": 0.2}

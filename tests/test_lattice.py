@@ -26,6 +26,26 @@ def _coords(geom, idx):
     return np.stack(digits, axis=-1) - geom.N
 
 
+def _enumerated_ends(geom):
+    """Every bond's endpoints by walking the axes in turn: an independent
+    reference for ``bond_ends``."""
+    side = geom.side
+    idx = np.arange(geom.n_vertices, dtype=np.int32)
+    us, vs = [], []
+    for axis in range(geom.d):
+        stride = side**axis
+        interior = (idx // stride) % side < side - 1
+        if geom.boundary == "free":
+            u = idx[interior]
+            v = u + stride
+        else:
+            u = idx
+            v = np.where(interior, idx + stride, idx - (side - 1) * stride)
+        us.append(u)
+        vs.append(v)
+    return np.concatenate(us), np.concatenate(vs)
+
+
 @pytest.mark.parametrize("d,N", [(1, 1), (1, 7), (2, 3), (3, 2)])
 def test_edge_counts(d, N):
     side = 2 * N + 1
@@ -36,14 +56,33 @@ def test_edge_counts(d, N):
     assert torus.n_edges == d * side**d
 
 
+@pytest.mark.parametrize("boundary", ["free", "torus"])
+@pytest.mark.parametrize("d,N", [(d, N) for d in (1, 2, 3) for N in (1, 2, 3)])
+def test_bond_ends_match_enumeration(d, N, boundary):
+    geom = build_geometry(d, N, boundary)
+    want_u, want_v = _enumerated_ends(geom)
+    u, v = geom.bond_ends(np.arange(geom.n_edges))
+    assert u.dtype == v.dtype == np.int32
+    assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+    # any subset of bond numbers, in any order, maps bond by bond
+    bonds = np.random.default_rng(d * 10 + N).permutation(geom.n_edges)[:geom.n_edges // 3]
+    sub_u, sub_v = geom.bond_ends(bonds)
+    assert np.array_equal(sub_u, want_u[bonds]) and np.array_equal(sub_v, want_v[bonds])
+    # the int32 narrowing must not wrap 2**32 onto bond 0
+    for bad in (-1, geom.n_edges, 2**32):
+        with pytest.raises(ValueError):
+            geom.bond_ends([0, bad])
+
+
 def test_edges_are_valid_and_distinct():
     for boundary in ("free", "torus"):
         geom = build_geometry(2, 2, boundary)
-        assert np.all(geom.edges_u >= 0) and np.all(geom.edges_u < geom.n_vertices)
-        assert np.all(geom.edges_v >= 0) and np.all(geom.edges_v < geom.n_vertices)
-        assert np.all(geom.edges_u != geom.edges_v)
-        lo = np.minimum(geom.edges_u, geom.edges_v)
-        hi = np.maximum(geom.edges_u, geom.edges_v)
+        u, v = geom.bond_ends(np.arange(geom.n_edges))
+        assert np.all(u >= 0) and np.all(u < geom.n_vertices)
+        assert np.all(v >= 0) and np.all(v < geom.n_vertices)
+        assert np.all(u != v)
+        lo = np.minimum(u, v)
+        hi = np.maximum(u, v)
         keys = lo * geom.n_vertices + hi
         assert np.unique(keys).size == keys.size
 
@@ -51,12 +90,21 @@ def test_edges_are_valid_and_distinct():
 def test_torus_edges_join_lattice_neighbours():
     geom = build_geometry(2, 2, "torus")
     side = geom.side
-    cu = _coords(geom, geom.edges_u)
-    cv = _coords(geom, geom.edges_v)
-    diff = np.abs(cu - cv)
+    u, v = geom.bond_ends(np.arange(geom.n_edges))
+    diff = np.abs(_coords(geom, u) - _coords(geom, v))
     # each bond moves by 1 along exactly one axis, modulo wrap-around
     step = np.minimum(diff, side - diff)
     assert np.all(step.sum(axis=1) == 1)
+
+
+@pytest.mark.parametrize("d,N", [(1, 3), (2, 2), (3, 2)])
+def test_free_edges_join_lattice_neighbours(d, N):
+    geom = build_geometry(d, N, "free")
+    u, v = geom.bond_ends(np.arange(geom.n_edges))
+    diff = _coords(geom, v) - _coords(geom, u)
+    # each bond steps up by 1 along exactly one axis, its own, and never wraps
+    axis = np.arange(geom.n_edges) // geom.n_along
+    assert np.array_equal(diff, np.eye(d, dtype=diff.dtype)[axis])
 
 
 def test_geometry_validation():
@@ -121,7 +169,8 @@ def test_labels_are_canonical_minima():
         assert np.all(cfg.labels <= v)
         assert np.array_equal(cfg.labels[cfg.labels], cfg.labels)
         # every open bond joins same-label endpoints
-        assert np.array_equal(cfg.labels[cfg.open_u], cfg.labels[cfg.open_v])
+        u, v = cfg.open_ends
+        assert np.array_equal(cfg.labels[u], cfg.labels[v])
 
 
 def _min_labels(n, u, v):
@@ -162,7 +211,7 @@ def test_label_bonds_equals_component_labels(d, data, boundary, p, seed):
     geom = build_geometry(d, N, boundary)
     keep = edge_uniforms(seed, geom.n_edges) < p
     got = _label_bonds(geom, keep)
-    want = component_labels(geom.n_vertices, geom.edges_u[keep], geom.edges_v[keep])
+    want = component_labels(geom.n_vertices, *geom.bond_ends(np.flatnonzero(keep)))
     for name in ("index", "sizes", "first"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
@@ -177,15 +226,19 @@ def test_label_bonds_calls_the_graph_solver_only_across_rows(monkeypatch):
         return component_labels(n_vertices, u, v)
 
     monkeypatch.setattr(percograph.lattice, "component_labels", spy)
-    sample_percolation(build_geometry(1, 500, "torus"), 0.6, 3)
+    line = sample_percolation(build_geometry(1, 500, "torus"), 0.6, 6)
+    # the open wrap bond joins the last site to the first without a call
+    assert line.open_bonds[-1] and line.labels[-1] == 0
     assert calls == []
     geom = build_geometry(2, 30, "torus")
     cfg = sample_percolation(geom, 0.5, 3)
     assert len(calls) == 1
     n_runs, n_bonds = calls[0]
     n_along = geom.n_vertices  # torus: one axis-0 bond per site, listed first
-    assert n_runs < geom.n_vertices
-    assert n_bonds == int(np.count_nonzero(cfg.open_bonds[n_along:]))
+    # the axis-0 bond of a row's last site wraps to its first
+    n_wraps = int(np.count_nonzero(cfg.open_bonds[geom.side - 1:n_along:geom.side]))
+    assert n_runs < geom.n_vertices and n_wraps > 0
+    assert n_bonds == int(np.count_nonzero(cfg.open_bonds[n_along:])) + n_wraps
 
 
 def test_partition_guard_rejects_out_of_order_ids():
@@ -230,8 +283,8 @@ def test_monotone_coupling():
         lo = sample_percolation(geom, 0.3, seed)
         hi = sample_percolation(geom, 0.55, seed)
         assert np.count_nonzero(lo.open_bonds) <= np.count_nonzero(hi.open_bonds)
-        open_lo = set(zip(lo.open_u.tolist(), lo.open_v.tolist()))
-        open_hi = set(zip(hi.open_u.tolist(), hi.open_v.tolist()))
+        open_lo = set(zip(*(ends.tolist() for ends in lo.open_ends)))
+        open_hi = set(zip(*(ends.tolist() for ends in hi.open_ends)))
         assert open_lo <= open_hi
         # clusters only merge when p grows: labels at hi factor through lo
         assert np.array_equal(hi.labels[lo.labels], hi.labels)
@@ -243,7 +296,7 @@ def test_seed_determinism():
     b = sample_percolation(geom, 0.5, 123)
     c = sample_percolation(geom, 0.5, 124)
     assert np.array_equal(a.labels, b.labels)
-    assert np.array_equal(a.open_u, b.open_u)
+    assert np.array_equal(a.open_ends, b.open_ends)
     assert not np.array_equal(a.labels, c.labels)
 
 

@@ -222,15 +222,18 @@ def test_ids_are_int32_and_counts_int64():
     geom = build_geometry(1, 50_000, "torus")
     base = sample_percolation(geom, 0.3, 3)
     merged = overlay_long_range(base, 1.0, 5)
-    ids = [geom.edges_u, geom.edges_v, base.partition.index, base.partition.first,
+    ids = [base.partition.index, base.partition.first,
            merged.long_u, merged.long_v, merged.macro.index, merged.macro.first]
     sizes = [base.partition.sizes, merged.macro.sizes]
     assert all(a.dtype == np.int32 for a in ids)
     assert all(a.dtype == np.int64 for a in sizes)
     assert base.open_bonds.dtype == np.bool_
-    assert base.open_u.dtype == base.open_v.dtype == np.int32
+    ends = [*geom.bond_ends(np.arange(geom.n_edges)), *base.open_ends]
+    assert all(a.dtype == np.int32 for a in ends)
+    # the geometry numbers its bonds and holds no array
+    assert [f.name for f in dataclasses.fields(geom)] == ["d", "N", "boundary"]
     held = sum(a.nbytes for a in ids + sizes + [base.open_bonds])
-    assert held <= 31.1 * geom.n_vertices
+    assert held <= 23.1 * geom.n_vertices
 
 
 def test_density_bounds():
@@ -309,9 +312,9 @@ def test_quotient_labels_equal_direct_union(d, boundary, p, density, seed):
     # "dense" draws about 30% of all pairs
     c = {"none": 0.0, "sparse": 0.8, "dense": 0.3 * n}[density]
     merged = overlay_long_range(base, c, seed + 1)
+    u, v = base.open_ends
     direct = component_labels(
-        n, np.concatenate([base.open_u, merged.long_u]),
-        np.concatenate([base.open_v, merged.long_v]))
+        n, np.concatenate([u, merged.long_u]), np.concatenate([v, merged.long_v]))
     assert np.array_equal(merged.labels, direct.labels)
     assert np.array_equal(merged.component_sizes, direct.sizes)
     assert merged.n_components == direct.sizes.size
