@@ -35,6 +35,8 @@ __all__ = ["SurvivalEstimate", "estimate_survival"]
 _TYPE_TAIL = 1e-8
 # two-sided normal quantile of the reported confidence interval: norm.ppf(0.975)
 _CI_Z = 1.959963984540054
+# a run that dies past this many particles, or hits a cap at or below it, is ambiguous
+_AMBIGUOUS_AT = 1_000
 # largest mean numpy's Generator.poisson accepts ("lam value too large")
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 
@@ -117,14 +119,14 @@ class SurvivalEstimate:
 
 
 def estimate_survival(k, c, dist, reps=10_000, seed=0, max_particles=1_000_000,
-                      max_generations=10_000, ambiguous_at=1_000):
+                      max_generations=10_000):
     """Monte Carlo survival probability of a type-k progeny tree, with a
     95% normal confidence interval.
 
     Survival means hitting a cap.  The returned ``ambiguous_frac`` is the
-    fraction of runs that died after exceeding ``ambiguous_at`` particles
-    or hit a cap with at most ``ambiguous_at``; it bounds how much the cap
-    proxy can distort the estimate and should stay well below the
+    fraction of runs that died after exceeding 1000 particles
+    (``_AMBIGUOUS_AT``) or hit a cap with at most 1000; it bounds how much
+    the cap proxy can distort the estimate and should stay well below the
     confidence half-width.
     """
     reps = int(reps)
@@ -138,6 +140,6 @@ def estimate_survival(k, c, dist, reps=10_000, seed=0, max_particles=1_000_000,
         root_type=int(k), c=float(c), dist_tag=dist.tag(), reps=reps,
         rho_hat=rho, se=se,
         ci_lo=max(0.0, rho - _CI_Z * se), ci_hi=min(1.0, rho + _CI_Z * se),
-        ambiguous_frac=int(np.count_nonzero(hit != (n > ambiguous_at))) / reps,
+        ambiguous_frac=int(np.count_nonzero(hit != (n > _AMBIGUOUS_AT))) / reps,
         max_particles=int(max_particles), max_generations=int(max_generations),
     )

@@ -8,7 +8,8 @@ keyed on (base_seed, d, N, p, replicate) alone: one configuration per
 replicate is sampled and labelled for an (N, p) slice, and every c of
 the slice lays its own long-range draw, keyed on c as well, over it.  So
 within a slice the cluster count and the per-size frequencies are equal
-across c, and only the merged observables move with c.
+across c and aggregated once; only the merged observables move with c.
+A replicate that raises fails the whole run.
 
 Observables per replicate: the two largest merged components and the
 percolation cluster count, all relative to the box size, plus the
@@ -32,7 +33,7 @@ import numpy as np
 
 from .branching import _CI_Z
 from .distributions import exact_d1, from_empirical
-from .errors import CheckFailure, ConfigError, DomainError
+from .errors import CheckFailure, ConfigError
 from .fileio import dump_json, write_csv
 from .lattice import build_geometry, cluster_census, sample_percolation
 from .merged import overlay_long_range
@@ -227,7 +228,6 @@ class CellSummary:
     p: float
     c: float
     replicates: int
-    n_failed: int
     theory: object                     # TheoryPoint
     kappa_theory: float
     samples: dict = field(repr=False)  # metric name -> per-replicate array
@@ -235,6 +235,8 @@ class CellSummary:
     per_k_mean: np.ndarray = field(repr=False, default=None)
     per_k_se: np.ndarray = field(repr=False, default=None)
     per_k_mu: np.ndarray = field(repr=False, default=None)
+
+    n_failed = 0    # a failing replicate fails the run, so no cell has any
 
     def mean(self, name):
         return float(self.samples[name].mean())
@@ -282,13 +284,6 @@ def estimate_cluster_law(config, p, N):
     return from_empirical(censuses)
 
 
-def _cluster_law(config, p, N):
-    """The exact law on the line, else the stage-1 plug-in estimate."""
-    if config.d == 1:
-        return exact_d1(p)
-    return estimate_cluster_law(config, p, N)
-
-
 def _run_slice(config, p, c_values, N=None, dist=None):
     """Run all replicates of one (N, p) slice at every density in
     ``c_values`` and join the solved theory values; one ``CellSummary``
@@ -296,11 +291,9 @@ def _run_slice(config, p, c_values, N=None, dist=None):
 
     Each replicate samples and labels its bond configuration once and
     overlays every c on it in turn, so at most ``config.threads``
-    configurations are alive at once.  A ``DomainError`` from the bond
-    draw fails that replicate at every c; one from an overlay fails only
-    that (replicate, c).  Failed replicates are counted in ``n_failed``
-    and excluded from the aggregates; a cell fails if more than 10% of
-    its replicates do.  Any other exception is a bug and propagates.
+    configurations are alive at once.  The bond layer's aggregates
+    (``k_frac`` and the per-k columns) are computed once and shared by
+    every cell of the slice.  Any exception from a replicate propagates.
     """
     N = int(N if N is not None else config.N_values[0])
     p = float(p)
@@ -313,62 +306,44 @@ def _run_slice(config, p, c_values, N=None, dist=None):
         # the c slot is fixed at 0.0, not dropped, so the seed tuple keeps
         # its width (see rng.derive_seed) and every c shares this draw
         seed_p = _rep_seed(config.base_seed, config.d, N, p, 0.0, _STAGE_PERC, rep)
-        try:
-            base = sample_percolation(geom, p, seed_p)
-        except DomainError as exc:
-            return [exc] * len(c_values)
+        base = sample_percolation(geom, p, seed_p)
         sizes = base.cluster_sizes
         nk = np.bincount(sizes[sizes <= kmax], minlength=kmax + 1)[1:]
-        shared = {"k_frac": base.n_clusters / n, "nk_frac": nk / base.n_clusters}
-        outcomes = []
+        per_c = []
         for c in c_values:
             seed_o = _rep_seed(config.base_seed, config.d, N, p, c, _STAGE_OVERLAY, rep)
-            try:
-                merged = overlay_long_range(base, c, seed_o)
-            except DomainError as exc:
-                outcomes.append(exc)
-                continue
-            outcomes.append(dict(
-                shared,
-                c1_frac=merged.largest / n,
-                c2_frac=merged.second_largest / n,
-                c1_over_logn=merged.largest / math.log(n),
-                n_long=float(merged.n_long_edges),
-            ))
-        return outcomes
+            merged = overlay_long_range(base, c, seed_o)
+            per_c.append((merged.largest / n, merged.second_largest / n,
+                          merged.largest / math.log(n), float(merged.n_long_edges)))
+        return base.n_clusters / n, nk / base.n_clusters, per_c
 
     # the pool starts its workers on first submit, so one thread runs the
     # replicates on the calling thread and no worker is ever started
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
         mapper = map if config.threads == 1 else pool.map
-        by_rep = list(mapper(one_rep, range(config.replicates)))
+        k_fracs, nk_rows, per_c_rows = zip(*mapper(one_rep, range(config.replicates)))
 
-    the_dist = dist if dist is not None else _cluster_law(config, p, N)
-    kappa = the_dist.mean_inverse_size
+    k_frac = np.array(k_fracs)
+    nk_mat = np.vstack(nk_rows)
+    per_k_mean = nk_mat.mean(axis=0)
+    per_k_se = (nk_mat.std(axis=0, ddof=1) / math.sqrt(nk_mat.shape[0])
+                if nk_mat.shape[0] > 1 else np.zeros(kmax))
+
+    if dist is None:
+        dist = exact_d1(p) if config.d == 1 else estimate_cluster_law(config, p, N)
+    kappa = dist.mean_inverse_size
     ks = np.arange(1, kmax + 1, dtype=np.int64)
-    mu_k = np.asarray(the_dist.pmf(ks), dtype=float) / (ks * kappa)
+    mu_k = np.asarray(dist.pmf(ks), dtype=float) / (ks * kappa)
 
     cells = []
     for j, c in enumerate(c_values):
-        outcomes = [row[j] for row in by_rep]
-        results = [out for out in outcomes if not isinstance(out, DomainError)]
-        errors = [out for out in outcomes if isinstance(out, DomainError)]
-        if len(errors) > 0.1 * config.replicates:
-            raise RuntimeError(
-                f"cell (N={N}, p={p}, c={c}): {len(errors)} of "
-                f"{config.replicates} replicates failed; first: {errors[0]!r}"
-            )
-
-        samples = {name: np.array([r[name] for r in results]) for name in _METRICS}
-        nk_mat = np.vstack([r["nk_frac"] for r in results])
-        per_k_mean = nk_mat.mean(axis=0)
-        per_k_se = (nk_mat.std(axis=0, ddof=1) / math.sqrt(nk_mat.shape[0])
-                    if nk_mat.shape[0] > 1 else np.zeros(kmax))
-
+        c1, c2, c1_logn, n_long = map(np.array, zip(*(row[j] for row in per_c_rows)))
+        samples = {"c1_frac": c1, "c2_frac": c2, "k_frac": k_frac,
+                   "c1_over_logn": c1_logn, "n_long": n_long}
         cells.append(CellSummary(
             d=config.d, N=N, boundary=config.boundary, p=p, c=c,
-            replicates=config.replicates, n_failed=len(errors),
-            theory=theory_point(the_dist, c, d=config.d, p=p),
+            replicates=config.replicates,
+            theory=theory_point(dist, c, d=config.d, p=p),
             kappa_theory=float(kappa),
             samples=samples, per_k_ks=ks, per_k_mean=per_k_mean,
             per_k_se=per_k_se, per_k_mu=mu_k,
@@ -382,10 +357,7 @@ def run_cell(config, p, c, N=None, dist=None):
     The one-density case of the slice runner.  The bond draw of replicate
     r depends only on (base_seed, d, N, p, r) and the overlay draw also on
     c, so a cell gives the same samples here as in any ``sweep`` whose
-    grid contains it.  A replicate that leaves the model's domain
-    (``DomainError``) is recorded in ``n_failed`` and excluded from the
-    aggregates; the cell fails if more than 10% do.  Any other exception
-    is a bug and propagates.
+    grid contains it.  Any exception from a replicate propagates.
     """
     return _run_slice(config, p, (c,), N, dist)[0]
 
@@ -398,7 +370,7 @@ class Crossing:
     p: float
     c_at_crossing: float | None
     c_cr: float
-    grid_step: float
+    grid_step: float | None    # the grid gap just below the crossing
     within_one_step: bool
 
 
@@ -419,7 +391,9 @@ def sweep(config):
     cell's draws depend on its own (N, p, c) values only, so enlarging
     the grid leaves existing cells unchanged.  For each slice the coarse
     transition location is recorded: the first grid c at which the mean
-    giant fraction reaches the detection threshold.
+    giant fraction reaches the detection threshold, and the gap between
+    it and the grid c just below it (just above, when the crossing is the
+    smallest c; 0.0 on a one-value grid).
     """
     cells, crossings = [], []
     for N in config.N_values:
@@ -428,10 +402,12 @@ def sweep(config):
             slice_cells = _run_slice(config, p, c_sorted, N)
             cells.extend(slice_cells)
             ccr = slice_cells[0].theory.c_cr
-            cross = next(
-                (cell.c for cell in slice_cells
-                 if cell.mean("c1_frac") >= _GIANT_FRACTION), None)
-            step = (max(c_sorted) - min(c_sorted)) / max(1, len(c_sorted) - 1)
+            hit = next((i for i, cell in enumerate(slice_cells)
+                        if cell.mean("c1_frac") >= _GIANT_FRACTION), None)
+            cross = step = None
+            if hit is not None:
+                cross, i = c_sorted[hit], max(hit, 1)
+                step = c_sorted[i] - c_sorted[i - 1] if len(c_sorted) > 1 else 0.0
             within = (cross is not None and abs(cross - ccr) <= step + 1e-12)
             crossings.append(Crossing(N=N, p=p, c_at_crossing=cross, c_cr=ccr,
                                       grid_step=step, within_one_step=within))

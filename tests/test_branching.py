@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from percograph import (
+    branching,
     estimate_survival,
     exact_d1,
     from_table,
@@ -146,12 +147,13 @@ def test_survival_increases_with_type():
     assert rhos[0] < rhos[1] < rhos[2] <= 1.0
 
 
-def test_ambiguous_fraction_counts_late_deaths():
+def test_ambiguous_fraction_counts_late_deaths(monkeypatch):
     # with a tiny ambiguity threshold some near-critical runs die late
+    monkeypatch.setattr(branching, "_AMBIGUOUS_AT", 10)
     dist = exact_d1(0.3)
     c = 0.95 / dist.mean_size  # just below critical
     est = estimate_survival(1, c, dist, reps=400, seed=11,
-                            max_particles=100_000, ambiguous_at=10)
+                            max_particles=100_000)
     assert 0.0 <= est.ambiguous_frac <= 1.0
     assert est.ambiguous_frac > 0.0
     # below c_cr every run dies; one generation caps runs of a few particles

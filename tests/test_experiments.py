@@ -18,7 +18,7 @@ from percograph import (
     sweep,
     theory_point,
 )
-from percograph.errors import ConfigError
+from percograph.errors import ConfigError, DomainError
 from percograph.experiments import (
     CellSummary,
     estimate_cluster_law,
@@ -225,20 +225,27 @@ def test_run_cell_no_edges_at_all():
 
 
 def test_replicate_bug_is_not_tallied_as_failure(monkeypatch):
-    # one replicate in 20 is within the 10% failure allowance, so only a
-    # propagating exception shows the bug
+    # one failing replicate in 20 fails the run, whatever it raises: no
+    # cell is aggregated over the replicates that happened to succeed
     real = experiments.overlay_long_range
-    calls = []
+    for error in (TypeError, DomainError):
+        calls = []
 
-    def buggy(base, c, seed):
-        calls.append(seed)
-        if len(calls) == 7:
-            raise TypeError("bug in one replicate")
-        return real(base, c, seed)
+        def buggy(base, c, seed):
+            calls.append(seed)
+            if len(calls) == 7:
+                raise error("bug in one replicate")
+            return real(base, c, seed)
 
-    monkeypatch.setattr(experiments, "overlay_long_range", buggy)
-    with pytest.raises(TypeError, match="bug in one replicate"):
-        run_cell(_config(replicates=20), 0.3, 0.2)
+        monkeypatch.setattr(experiments, "overlay_long_range", buggy)
+        with pytest.raises(error, match="bug in one replicate"):
+            run_cell(_config(replicates=20), 0.3, 0.2)
+
+
+def test_run_cell_outside_the_domain_raises_domain_error():
+    # every replicate's bond draw rejects p = 1.5; the first one ends the run
+    with pytest.raises(DomainError, match="retention probability"):
+        run_cell(_config(), 1.5, 0.2)
 
 
 def test_cell_theory_join_matches_solvers():
@@ -268,8 +275,7 @@ def test_ci_half_uses_the_normal_quantile_bit_for_bit():
     # std is exactly 2 = sqrt(n) for these samples, so ci_half is z itself
     x = np.array([3.0, -1.0, -1.0, -1.0])
     cell = CellSummary(d=1, N=10, boundary="free", p=0.3, c=0.2, replicates=4,
-                       n_failed=0, theory=None, kappa_theory=0.7,
-                       samples={"x": x})
+                       theory=None, kappa_theory=0.7, samples={"x": x})
     assert cell.std("x") == 2.0
     assert cell.ci_half("x") == float(stats.norm.ppf(0.975))
 
@@ -303,6 +309,28 @@ def test_sweep_crossing_localization():
     assert cross.c_at_crossing is not None
     assert abs(cross.c_at_crossing - cross.c_cr) <= cross.grid_step + 1e-12
     assert cross.within_one_step
+
+
+def test_grid_step_is_the_gap_below_the_crossing(monkeypatch):
+    # C1/n is stubbed to cross at a chosen c, so only the grid decides
+    real = experiments._run_slice
+
+    def crossing_at(cross):
+        def run_slice(config, p, c_values, N=None, dist=None):
+            cells = real(config, p, c_values, N, dist)
+            for cell in cells:
+                cell.samples["c1_frac"] = np.full(2, 1.0 if cell.c >= cross else 0.0)
+            return cells
+        return run_slice
+
+    uneven = [0.05, 0.1, 0.2, 0.4]
+    for c_grid, cross, step in ((uneven, 0.2, 0.1), (uneven, 0.4, 0.2),
+                                (uneven, 0.05, 0.05), ([0.3], 0.3, 0.0),
+                                (uneven, 1.0, None)):
+        monkeypatch.setattr(experiments, "_run_slice", crossing_at(cross))
+        crossing = sweep(_config(N=50, c=c_grid, replicates=2)).crossings[0]
+        assert crossing.grid_step == step
+        assert crossing.c_at_crossing == (None if step is None else cross)
 
 
 def test_sweep_no_crossing_when_all_subcritical():
