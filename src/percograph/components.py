@@ -8,13 +8,22 @@ and directly comparable between runs.
 
 Vertex and component ids are int32, as no graph here has more than
 ``lattice.MAX_VERTICES`` = 2**26 vertices; sizes are int64 counts.
+
+The labelling is min-label hooking with pointer jumping, after Shiloach
+and Vishkin, J. Algorithms 3, 57 (1982), in whole-array numpy steps.
+Only the vertices that some edge touches take part, ranked in vertex
+order.  Each round hooks every vertex onto its smallest neighbour, or
+keeps it when it has none smaller; jumps pointers until every vertex
+points at the root of its tree; numbers the roots compactly in their
+order; and carries on with the edges between different roots.  Hooking
+only ever points a vertex at a smaller one, so a root is the smallest
+vertex of its tree and, once no edge is left, of its component: ranking
+the roots numbers the components as the contract requires.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 __all__ = ["Partition", "component_labels"]
 
@@ -37,23 +46,6 @@ class Partition:
     sizes: np.ndarray = field(repr=False)
     first: np.ndarray = field(repr=False)
 
-    @classmethod
-    def from_index(cls, index):
-        """Partition from compact ids that number components in order of
-        their smallest vertex, so that their running maximum starts at 0
-        and steps by at most 1.  Any other numbering raises instead of
-        being relabelled.  The guard runs before the int32 cast, which
-        copies nothing for scipy's int32 labels."""
-        index = np.asarray(index)
-        steps = np.diff(np.maximum.accumulate(index), prepend=-1)
-        if np.any(steps > 1):
-            raise RuntimeError(
-                "component ids are not numbered in order of each "
-                "component's smallest vertex")
-        return cls(index=index.astype(np.int32, copy=False),
-                   sizes=np.bincount(index),
-                   first=np.flatnonzero(steps).astype(np.int32))
-
     @property
     def labels(self):
         """``labels[x]``: the smallest vertex index in the component of x."""
@@ -61,13 +53,44 @@ class Partition:
 
 
 def _int32_ids(ids, n_vertices):
-    """As int32; any other dtype is range-checked first, so no cast wraps."""
+    """As int32, range-checked first, so neither the cast nor a gather
+    wraps an id outside [0, n_vertices)."""
     ids = np.asarray(ids)
-    if ids.dtype != np.int32:
-        if ids.size and (ids.min() < 0 or ids.max() >= n_vertices):
-            raise ValueError("edge endpoint outside [0, n_vertices)")
-        ids = ids.astype(np.int32)
-    return ids
+    if ids.size and (ids.min() < 0 or ids.max() >= n_vertices):
+        raise ValueError("edge endpoint outside [0, n_vertices)")
+    return ids.astype(np.int32, copy=False)
+
+
+def _smallest_roots(n_vertices, u, v):
+    """``root[x]``: the smallest vertex in the component of x, on the graph
+    over 0..n_vertices-1 with the int32 edges (u, v)."""
+    # gathers use take: indexing with int32 ids would first widen them
+    contracts = []
+    alive = np.arange(n_vertices, dtype=np.int32)  # smallest vertex of each
+    while u.size:
+        k = alive.size
+        # hook each vertex onto its smallest neighbour, if that is smaller
+        parent = np.arange(k, dtype=np.int32)
+        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
+        roots = np.flatnonzero(parent == np.arange(k, dtype=np.int32))
+        # jump until every vertex points at the root of its tree
+        while True:
+            jumped = parent.take(parent)
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        # contract each tree onto its root, numbered in the roots' order
+        rank = np.empty(k, dtype=np.int32)
+        rank[roots] = np.arange(roots.size, dtype=np.int32)
+        contract = rank.take(parent)
+        contracts.append(contract)
+        alive = alive.take(roots)
+        u, v = contract.take(u), contract.take(v)
+        keep = u != v
+        u, v = u.compress(keep), v.compress(keep)
+    for contract in reversed(contracts):
+        alive = alive.take(contract)
+    return alive
 
 
 def component_labels(n_vertices, u, v):
@@ -79,8 +102,8 @@ def component_labels(n_vertices, u, v):
         Number of vertices; vertex ids are 0..n_vertices-1.
     u, v : array_like of int
         Edge endpoint arrays of equal length, each id in [0, n_vertices);
-        any other id raises ``ValueError``.  Parallel edges and isolated
-        vertices are fine; self-loops are ignored by the underlying solver.
+        any other id raises ``ValueError``.  Parallel edges, self-loops
+        and isolated vertices are fine.
 
     Returns
     -------
@@ -90,10 +113,21 @@ def component_labels(n_vertices, u, v):
     u, v = _int32_ids(u, n_vertices), _int32_ids(v, n_vertices)
     if u.shape != v.shape:
         raise ValueError("endpoint arrays differ in length")
-    data = np.ones(u.size, dtype=np.int8)
-    adj = sparse.csr_matrix((data, (u, v)), shape=(n_vertices, n_vertices))
-    # free edge arrays passed as temporaries before the solver copies adj
-    del data, u, v
-    # scipy numbers components in order of each one's smallest vertex
-    _, index = connected_components(adj, directed=False)
-    return Partition.from_index(index)
+    # rank the vertices that some edge touches, in vertex order
+    touched = np.zeros(n_vertices, dtype=bool)
+    touched[u] = True
+    touched[v] = True
+    active = np.flatnonzero(touched)
+    rank = np.empty(n_vertices, dtype=np.int32)
+    rank[active] = np.arange(active.size, dtype=np.int32)
+    root = active.take(_smallest_roots(active.size, rank.take(u), rank.take(v)))
+    del u, v, rank  # frees endpoint arrays that a caller passed as temporaries
+    # a vertex starts its component unless it is joined to a smaller one
+    starts = np.ones(n_vertices, dtype=bool)
+    starts[active] = root == active
+    first = np.flatnonzero(starts)
+    index = np.empty(n_vertices, dtype=np.int32)
+    index[first] = np.arange(first.size, dtype=np.int32)
+    index[active] = index.take(root)
+    return Partition(index=index, sizes=np.bincount(index, minlength=first.size),
+                     first=first.astype(np.int32))

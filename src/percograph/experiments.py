@@ -293,7 +293,10 @@ def _run_slice(config, p, c_values, N=None, dist=None):
     overlays every c on it in turn, so at most ``config.threads``
     configurations are alive at once.  The bond layer's aggregates
     (``k_frac`` and the per-k columns) are computed once and shared by
-    every cell of the slice.  Any exception from a replicate propagates.
+    every cell of the slice.  Any exception from a replicate propagates,
+    with a note that names the replicate and the seeds that reproduce
+    it: ``sample_percolation`` at seed_p, then ``overlay_long_range`` at
+    c and seed_o when an overlay raised.
     """
     N = int(N if N is not None else config.N_values[0])
     p = float(p)
@@ -306,15 +309,22 @@ def _run_slice(config, p, c_values, N=None, dist=None):
         # the c slot is fixed at 0.0, not dropped, so the seed tuple keeps
         # its width (see rng.derive_seed) and every c shares this draw
         seed_p = _rep_seed(config.base_seed, config.d, N, p, 0.0, _STAGE_PERC, rep)
-        base = sample_percolation(geom, p, seed_p)
-        sizes = base.cluster_sizes
-        nk = np.bincount(sizes[sizes <= kmax], minlength=kmax + 1)[1:]
-        per_c = []
-        for c in c_values:
-            seed_o = _rep_seed(config.base_seed, config.d, N, p, c, _STAGE_OVERLAY, rep)
-            merged = overlay_long_range(base, c, seed_o)
-            per_c.append((merged.largest / n, merged.second_largest / n,
-                          merged.largest / math.log(n), float(merged.n_long_edges)))
+        overlay = ""
+        try:
+            base = sample_percolation(geom, p, seed_p)
+            sizes = base.cluster_sizes
+            nk = np.bincount(sizes[sizes <= kmax], minlength=kmax + 1)[1:]
+            per_c = []
+            for c in c_values:
+                seed_o = _rep_seed(config.base_seed, config.d, N, p, c, _STAGE_OVERLAY, rep)
+                overlay = f", c={c!r}, seed_o={seed_o}"
+                merged = overlay_long_range(base, c, seed_o)
+                per_c.append((merged.largest / n, merged.second_largest / n,
+                              merged.largest / math.log(n), float(merged.n_long_edges)))
+        except Exception as exc:
+            exc.add_note(f"in replicate {rep} of N={N}, p={p!r}: "
+                         f"seed_p={seed_p}{overlay}")
+            raise
         return base.n_clusters / n, nk / base.n_clusters, per_c
 
     # the pool starts its workers on first submit, so one thread runs the

@@ -3,18 +3,21 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from percograph import (
+    build_geometry,
     evaluate_checks,
     exact_d1,
     experiments,
     load_config,
     run_cell,
     run_experiment,
+    sample_percolation,
     sweep,
     theory_point,
 )
@@ -240,6 +243,56 @@ def test_replicate_bug_is_not_tallied_as_failure(monkeypatch):
         monkeypatch.setattr(experiments, "overlay_long_range", buggy)
         with pytest.raises(error, match="bug in one replicate"):
             run_cell(_config(replicates=20), 0.3, 0.2)
+
+
+def _note_seeds(exc):
+    """The replicate note's ``name=value`` pairs."""
+    (note,) = exc.__notes__
+    return dict(re.findall(r"(\w+)=([^,:\s]+)", note))
+
+
+def test_a_failing_replicate_is_reproduced_from_its_note(monkeypatch):
+    # the overlay fails on the inputs of its 7th call, and on those alone
+    cfg = _config(replicates=5, c=[0.1, 0.2])
+    real = experiments.overlay_long_range
+    calls, bad = [], []
+
+    def buggy(base, c, seed):
+        calls.append((base.seed, c, seed))
+        if len(calls) == 7:
+            bad.append(calls[-1])
+        if calls[-1] in bad:
+            raise DomainError("bug in one replicate")
+        return real(base, c, seed)
+
+    monkeypatch.setattr(experiments, "overlay_long_range", buggy)
+    with pytest.raises(DomainError, match="bug in one replicate") as info:
+        sweep(cfg)
+    note = _note_seeds(info.value)
+    assert info.value.__notes__[0].startswith("in replicate 3 of N=400, p=0.3: ")
+    assert (note["N"], note["p"], note["c"]) == ("400", "0.3", "0.1")
+    base = sample_percolation(build_geometry(1, 400, "torus"), 0.3, int(note["seed_p"]))
+    with pytest.raises(DomainError, match="bug in one replicate"):
+        experiments.overlay_long_range(base, float(note["c"]), int(note["seed_o"]))
+
+
+def test_a_failing_bond_draw_names_only_its_seed(monkeypatch):
+    cfg = _config(replicates=5)
+    real = experiments.sample_percolation
+    seeds = []
+
+    def buggy(geometry, p, seed):
+        seeds.append(seed)
+        if len(seeds) == 2:
+            raise ValueError("bug in one bond draw")
+        return real(geometry, p, seed)
+
+    monkeypatch.setattr(experiments, "sample_percolation", buggy)
+    with pytest.raises(ValueError, match="bug in one bond draw") as info:
+        run_cell(cfg, 0.3, 0.2)
+    note = _note_seeds(info.value)
+    assert info.value.__notes__[0].startswith("in replicate 1 of N=400, p=0.3: ")
+    assert set(note) == {"N", "p", "seed_p"} and int(note["seed_p"]) == seeds[1]
 
 
 def test_run_cell_outside_the_domain_raises_domain_error():

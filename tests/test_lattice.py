@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 import percograph.lattice
 from percograph import (
@@ -13,7 +15,7 @@ from percograph import (
     origin_cluster_size,
     sample_percolation,
 )
-from percograph.components import Partition, component_labels
+from percograph.components import component_labels
 from percograph.errors import DomainError
 from percograph.lattice import _label_bonds
 from percograph.rng import edge_uniforms
@@ -241,18 +243,59 @@ def test_label_bonds_calls_the_graph_solver_only_across_rows(monkeypatch):
     assert n_bonds == int(np.count_nonzero(cfg.open_bonds[n_along:])) + n_wraps
 
 
-def test_partition_guard_rejects_out_of_order_ids():
-    for index in ([1, 0], [0, 2, 1], [0, 1, 3, 2]):
-        with pytest.raises(RuntimeError, match="smallest vertex"):
-            Partition.from_index(index)
-    assert np.array_equal(Partition.from_index([0, 1, 0, 2]).first, [0, 1, 3])
+def _scipy_partition(n, u, v):
+    """The oracle: scipy's connected components, renumbered here by each
+    component's smallest vertex."""
+    adj = sparse.coo_matrix((np.ones(len(u), dtype=np.int8), (u, v)), shape=(n, n))
+    _, raw = connected_components(adj, directed=False)
+    smallest = np.full(raw.max() + 1, n, dtype=np.int64)
+    np.minimum.at(smallest, raw, np.arange(n))
+    order = np.argsort(smallest)
+    rename = np.empty_like(order)
+    rename[order] = np.arange(order.size)
+    return (rename[raw].astype(np.int32), np.bincount(raw, minlength=order.size)[order],
+            smallest[order].astype(np.int32))
 
 
-@pytest.mark.parametrize("bad", [2**32 + 1, -1, 3])
+def _oracle_graphs():
+    rng = np.random.default_rng(2026)
+    for n in (10, 1_000, 100_000):
+        for density in (0.1, 0.5, 1.0, 2.0):
+            m = int(density * n)
+            yield pytest.param(n, rng.integers(0, n, m), rng.integers(0, n, m),
+                               id=f"random n={n} c={density}")
+    n = 100_000
+    perm = rng.permutation(n)
+    yield pytest.param(n, perm[:-1], perm[1:], id="shuffled path")
+    yield pytest.param(n, np.arange(n - 1), np.arange(1, n), id="in-order path")
+    yield pytest.param(n, np.full(n - 1, n - 1), np.arange(n - 1), id="star, largest centre")
+    loops = rng.integers(0, 50, 200)
+    yield pytest.param(50, np.r_[loops, [3, 3, 7]], np.r_[loops, [9, 9, 3]],
+                       id="self-loops and parallel edges")
+    yield pytest.param(7, np.array([], dtype=np.int32), np.array([], dtype=np.int32),
+                       id="no edges")
+
+
+@pytest.mark.parametrize("n, u, v", list(_oracle_graphs()))
+def test_component_labels_match_the_scipy_oracle(n, u, v):
+    got = component_labels(n, u, v)
+    index, sizes, first = _scipy_partition(n, u, v)
+    for field, want in (("index", index), ("sizes", sizes), ("first", first)):
+        value = getattr(got, field)
+        assert value.dtype == want.dtype, field
+        assert np.array_equal(value, want), field
+
+
+@pytest.mark.parametrize("bad", [2**32 + 1, -1, 3,
+                                 pytest.param(np.int32(-1), id="int32(-1)"),
+                                 pytest.param(np.int32(3), id="int32(3)")])
 def test_endpoint_out_of_range_raises(bad):
-    # the int32 narrowing must not wrap 2**32 + 1 onto vertex 1
+    # the int32 narrowing must not wrap 2**32 + 1 onto vertex 1, and no
+    # gather may read an int32 -1 as the last vertex
     with pytest.raises(ValueError):
-        component_labels(3, [bad], [0])
+        component_labels(3, np.array([bad]), [0])
+    with pytest.raises(ValueError):
+        component_labels(3, [0], np.array([bad]))
 
 
 def test_partition_identities():

@@ -48,3 +48,38 @@ def test_every_package_import_is_used():
              for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert len(found) > 10
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def module_level_imports(source, package):
+    """(module, line) of every import of ``package`` or its submodules
+    that runs when the module is imported, not inside a function."""
+    found = []
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.module, node.lineno))
+        pending.extend(ast.iter_child_nodes(node))
+    return sorted((name, line) for name, line in found
+                  if name == package or name.startswith(package + "."))
+
+
+def test_the_scipy_guard_flags_only_imports_at_module_level():
+    source = ("import numpy\nimport scipy.sparse\nif True:\n    from scipy import stats\n"
+              "class A:\n    from scipy.special import gammaln\n"
+              "def f():\n    from scipy.optimize import brentq\n"
+              "from .scipy import x\nimport scipyx\n")
+    assert module_level_imports(source, "scipy") == [
+        ("scipy", 4), ("scipy.sparse", 2), ("scipy.special", 6)]
+
+
+def test_no_package_module_imports_scipy_at_module_level():
+    # scipy is imported only inside the solvers that need it, on first use
+    found = {path.name: module_level_imports(path.read_text(encoding="utf-8"), "scipy")
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert len(found) > 10
+    assert {name: hits for name, hits in found.items() if hits} == {}
