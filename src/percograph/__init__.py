@@ -13,7 +13,6 @@ from .distributions import (
     exact_d1,
     from_empirical,
     from_table,
-    point_mass,
 )
 from .errors import (
     CheckFailure,
@@ -55,7 +54,6 @@ from .theory import (
 __all__ = [
     "__version__",
     "ClusterSizeDistribution", "exact_d1", "from_empirical", "from_table",
-    "point_mass",
     "LatticeGeometry", "build_geometry", "sample_percolation",
     "cluster_census", "origin_cluster_size",
     "overlay_long_range", "build_macro_graph", "verify_correspondence",

@@ -31,9 +31,8 @@ def _add_output_args(sub):
 def _add_dist_args(sub):
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--d1-exact", action="store_true",
-                       help="use the exact line cluster law at --p")
-    group.add_argument("--p0", action="store_true",
-                       help="no short edges: point mass at size 1")
+                       help="use the exact line cluster law at --p "
+                            "(--p 0: no bonds, point mass at size 1)")
     group.add_argument("--dist", help="load a cluster-size law from CSV")
     sub.add_argument("--p", type=float,
                      help="retention probability for --d1-exact")
@@ -42,8 +41,6 @@ def _add_dist_args(sub):
 def _resolve_dist(args):
     if args.p is not None and not args.d1_exact:
         raise ConfigError("--p goes with --d1-exact only")
-    if args.p0:
-        return distributions.exact_d1(0.0)
     if args.d1_exact:
         if args.p is None:
             raise ConfigError("--d1-exact needs --p")
@@ -98,8 +95,7 @@ def _cmd_merge(args, invocation):
 
 def _cmd_theory(args, invocation):
     dist = _resolve_dist(args)
-    p_meta = args.p if args.d1_exact else (0.0 if args.p0 else None)
-    points = [theory_point(dist, c, p=p_meta) for c in args.c]
+    points = [theory_point(dist, c, p=args.p) for c in args.c]
     rows = [[getattr(pt, col) for col in THEORY_COLUMNS] for pt in points]
     _emit(args, invocation, "theory-points", THEORY_COLUMNS, rows)
     return 0

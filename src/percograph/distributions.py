@@ -8,8 +8,8 @@ chosen site.  Two law types share one interface:
   the line, P{|C| = k} = (1-p)^2 k p^(k-1), including the degenerate
   point mass at 1 for p = 0 (no short edges at all);
 * :class:`TableLaw` -- a finite table, built by ``from_table``,
-  ``point_mass``, ``from_csv`` or ``from_empirical``.  An empirical table
-  is the per-site estimator pooled from the cluster censuses of sampled
+  ``from_csv`` or ``from_empirical``.  An empirical table is the
+  per-site estimator pooled from the cluster censuses of sampled
   configurations, P_hat{|C| = k} = (1/n) * sum_x 1{|C(x)| = k}, which for
   a census with N_k clusters of size k equals k * N_k / n; it also
   carries its site counts and the number of configurations pooled.
@@ -36,7 +36,6 @@ __all__ = [
     "LineLaw",
     "TableLaw",
     "exact_d1",
-    "point_mass",
     "from_table",
     "from_empirical",
     "ExpectResult",
@@ -62,7 +61,7 @@ class ClusterSizeDistribution:
     """Law of the size of the cluster of a uniformly chosen site.
 
     Do not construct directly; use :func:`exact_d1`, :func:`from_table`,
-    :func:`from_empirical`, or :func:`point_mass`.  Each law declares
+    :func:`from_csv` or :func:`from_empirical`.  Each law declares
     ``divergence_rate``, the growth rate at which e^(rate * |C|) stops
     being summable against it.
     """
@@ -256,14 +255,6 @@ def exact_d1(p):
     if not 0.0 <= p < 1.0:
         raise DomainError(f"exact line law needs 0 <= p < 1, got {p}")
     return LineLaw(p)
-
-
-def point_mass(k=1):
-    """Degenerate law concentrated at a single size."""
-    k = int(k)
-    if k < 1:
-        raise DomainError("cluster sizes are >= 1")
-    return TableLaw(ks=np.array([k], dtype=np.int64), probs=np.array([1.0]))
 
 
 def _check_support(ks):

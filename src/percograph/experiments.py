@@ -33,7 +33,7 @@ import numpy as np
 
 from .branching import _CI_Z
 from .distributions import exact_d1, from_empirical
-from .errors import CheckFailure, ConfigError
+from .errors import CheckFailure, ConfigError, DomainError
 from .fileio import dump_json, write_csv
 from .lattice import build_geometry, cluster_census, sample_percolation
 from .merged import overlay_long_range
@@ -151,6 +151,8 @@ def load_config(source):
     p_values = _as_number_list(raw["p"], "p")
     if any(not 0.0 <= p <= 1.0 for p in p_values):
         raise ConfigError("field 'p': probabilities must lie in [0, 1]")
+    if d == 1 and 1.0 in p_values:
+        raise ConfigError("field 'p': the exact line law needs p < 1 at d = 1")
     c_values = _as_number_list(raw["c"], "c")
     if any(not 0.0 <= c < math.inf for c in c_values):
         raise ConfigError("field 'c': densities must be finite and >= 0")
@@ -162,6 +164,11 @@ def load_config(source):
     boundary = raw.get("boundary", "torus")
     if boundary not in ("free", "torus"):
         raise ConfigError(f"field 'boundary': must be 'free' or 'torus', got {boundary!r}")
+    for N in N_values:
+        try:
+            build_geometry(d, N, boundary)  # allocates nothing
+        except DomainError as exc:
+            raise ConfigError(f"field 'N': {exc}") from exc
 
     def _int_field(name, default, minimum):
         val = raw.get(name, default)
@@ -284,7 +291,7 @@ def estimate_cluster_law(config, p, N):
     return from_empirical(censuses)
 
 
-def _run_slice(config, p, c_values, N=None, dist=None):
+def _run_slice(config, p, c_values, N=None):
     """Run all replicates of one (N, p) slice at every density in
     ``c_values`` and join the solved theory values; one ``CellSummary``
     per c, in the order given.
@@ -339,8 +346,7 @@ def _run_slice(config, p, c_values, N=None, dist=None):
     per_k_se = (nk_mat.std(axis=0, ddof=1) / math.sqrt(nk_mat.shape[0])
                 if nk_mat.shape[0] > 1 else np.zeros(kmax))
 
-    if dist is None:
-        dist = exact_d1(p) if config.d == 1 else estimate_cluster_law(config, p, N)
+    dist = exact_d1(p) if config.d == 1 else estimate_cluster_law(config, p, N)
     kappa = dist.mean_inverse_size
     ks = np.arange(1, kmax + 1, dtype=np.int64)
     mu_k = np.asarray(dist.pmf(ks), dtype=float) / (ks * kappa)
@@ -361,7 +367,7 @@ def _run_slice(config, p, c_values, N=None, dist=None):
     return cells
 
 
-def run_cell(config, p, c, N=None, dist=None):
+def run_cell(config, p, c, N=None):
     """Run all replicates of one cell and join the solved theory values.
 
     The one-density case of the slice runner.  The bond draw of replicate
@@ -369,7 +375,7 @@ def run_cell(config, p, c, N=None, dist=None):
     c, so a cell gives the same samples here as in any ``sweep`` whose
     grid contains it.  Any exception from a replicate propagates.
     """
-    return _run_slice(config, p, (c,), N, dist)[0]
+    return _run_slice(config, p, (c,), N)[0]
 
 
 @dataclass(frozen=True)

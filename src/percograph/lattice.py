@@ -73,20 +73,12 @@ class LatticeGeometry:
 
     @property
     def origin_index(self):
-        """Index of the site at coordinate (0, ..., 0)."""
-        return self.vertex_index(np.zeros(self.d, dtype=np.int64))
+        """Index of the site at coordinate (0, ..., 0).
 
-    def vertex_index(self, coords):
-        """Map lattice coordinates in [-N, N]^d to a flat index.
-
-        Accepts a single coordinate vector of length d or an (m, d) array.
+        Every base-side digit of the origin is N, so its index is
+        N (side**d - 1) / (side - 1) = (n_vertices - 1) / 2.
         """
-        coords = np.asarray(coords, dtype=np.int64)
-        if np.any(np.abs(coords) > self.N):
-            raise DomainError(f"coordinate outside box of radius {self.N}")
-        digits = coords + self.N
-        strides = self.side ** np.arange(self.d, dtype=np.int64)
-        return digits @ strides
+        return (self.n_vertices - 1) // 2
 
     def bond_ends(self, bonds):
         """Endpoints (u, v) of the bonds numbered ``bonds``, as int32.

@@ -17,10 +17,10 @@ from percograph import (
     c_critical,
     estimate_survival,
     exact_d1,
+    from_table,
     load_config,
     origin_cluster_size,
     overlay_long_range,
-    point_mass,
     rho_of_type,
     run_cell,
     sample_percolation,
@@ -61,7 +61,7 @@ def test_criterion_02_alpha_p0_closed_form():
     worst = 0.0
     for c in (0.2, 0.5, 0.8):
         closed = 1.0 / (c - 1.0 + abs(math.log(c)))
-        dev = abs(solve_alpha(point_mass(1), c).alpha - closed)
+        dev = abs(solve_alpha(from_table([1], [1.0]), c).alpha - closed)
         worst = max(worst, dev)
     passed = worst <= 1e-9
     _report(2, "alpha at p=0", passed, f"max deviation {worst:.3g}", t0)
@@ -209,7 +209,7 @@ def test_criterion_08_second_order_transition():
     t0 = time.perf_counter()
     h = 1e-3
     devs = {}
-    for tag, dist, slope in (("p0", point_mass(1), 2.0),
+    for tag, dist, slope in (("p0", from_table([1], [1.0]), 2.0),
                              ("d1", exact_d1(0.5), 54.0 / 13.0)):
         fd = solve_beta(dist, c_critical(dist) + h) / h
         devs[tag] = abs(fd - slope) / slope
@@ -281,8 +281,8 @@ def test_criterion_12_d2_plugin_pipeline():
                        "estimation_replicates": 8})
     plug_in = estimate_cluster_law(cfg, 0.3, 200)
     c_hat = c_critical(plug_in)
-    lo = run_cell(cfg, 0.3, 0.5 * c_hat, N=200, dist=plug_in)
-    hi = run_cell(cfg, 0.3, 1.5 * c_hat, N=200, dist=plug_in)
+    lo = run_cell(cfg, 0.3, 0.5 * c_hat, N=200)
+    hi = run_cell(cfg, 0.3, 1.5 * c_hat, N=200)
     sub_frac = lo.mean("c1_frac")
     sup_frac = hi.mean("c1_frac")
     passed = sub_frac < 0.02 and sup_frac > 0.05

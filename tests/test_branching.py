@@ -9,7 +9,6 @@ from percograph import (
     estimate_survival,
     exact_d1,
     from_table,
-    point_mass,
     rho_of_type,
     solve_beta,
 )
@@ -74,7 +73,7 @@ def test_type_sum_moments_scale_with_count(count):
 
 def test_type_sum_of_a_point_mass_is_exact():
     counts = np.array([0, 1, 7, 123_456])
-    sums = _type_sums(generator(5), counts, *_type_table(point_mass(3)))
+    sums = _type_sums(generator(5), counts, *_type_table(from_table([3], [1.0])))
     assert np.array_equal(sums, 3 * counts)
 
 
@@ -90,7 +89,7 @@ def test_type_sum_skips_zero_probability_sizes():
 def test_point_mass_total_progeny_mean():
     # single-type subcritical tree: E(total particles) = 1/(1 - c)
     c = 0.5
-    totals = np.array([_tree(1, c, point_mass(1), seed=s)[0] for s in range(3000)],
+    totals = np.array([_tree(1, c, from_table([1], [1.0]), seed=s)[0] for s in range(3000)],
                       dtype=float)
     assert not np.any(totals > 1e5)  # all died out
     expected = 1.0 / (1.0 - c)
@@ -108,10 +107,11 @@ def test_subcritical_always_dies():
 
 
 def test_caps_trigger():
-    n_particles, _, _, hit_cap = _tree(5, 5.0, point_mass(1), seed=1, max_particles=50)
+    unit = from_table([1], [1.0])
+    n_particles, _, _, hit_cap = _tree(5, 5.0, unit, seed=1, max_particles=50)
     assert hit_cap
     assert n_particles > 50
-    _, _, generations, hit_cap = _tree(5, 5.0, point_mass(1), seed=1, max_generations=2)
+    _, _, generations, hit_cap = _tree(5, 5.0, unit, seed=1, max_generations=2)
     assert hit_cap
     assert generations == 2
 

@@ -19,6 +19,8 @@ from percograph.cli import main
 from percograph.errors import ConvergenceError
 from percograph.fileio import read_csv
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -128,7 +130,7 @@ README_THEORY_JSON = (
     '}\n'
 )
 README_BRANCH = (
-    '# percograph-csv/1 branching-survival | percograph branch --p0 --k 1 --c 2.0 --reps 2000 --seed 11\n'
+    '# percograph-csv/1 branching-survival | percograph branch --d1-exact --p 0 --k 1 --c 2.0 --reps 2000 --seed 11\n'
     'k,c,dist,reps,rho_hat,se,ci_lo,ci_hi,ambiguous_frac\n'
     '1,2,exact_d1(p=0),2000,0.799,0.00896099882826,0.781436765031,0.816563234969,0\n'
 )
@@ -147,7 +149,7 @@ def test_readme_examples_exact_bytes(capsys):
         ("theory --d1-exact --p 0.3 --c 0.2 0.6 1.0", README_THEORY),
         ("theory --d1-exact --p 0.3 --c 0.2 0.6 1.0 --format json",
          README_THEORY_JSON),
-        ("branch --p0 --k 1 --c 2.0 --reps 2000 --seed 11", README_BRANCH),
+        ("branch --d1-exact --p 0 --k 1 --c 2.0 --reps 2000 --seed 11", README_BRANCH),
     ]
     for argv, expected in examples:
         code, out, _ = _run(capsys, *argv.split())
@@ -160,7 +162,7 @@ def test_readme_examples_exact_bytes(capsys):
 
 def test_readme_python_quick_start_runs():
     # the README's library example is executed, so API drift fails here
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
     names = {}
     exec(block, names)
@@ -168,6 +170,22 @@ def test_readme_python_quick_start_runs():
     beta = pg.solve_beta(names["law"], c=1.0)
     assert abs(merged.largest / names["geo"].n_vertices - beta) <= 0.02
     assert pg.verify_correspondence(merged) == (True, "")
+
+
+def test_readme_command_lines_parse():
+    # every percograph line of the README's shell blocks names only flags
+    # the parser accepts, so a removed or renamed flag fails here
+    readme = README.read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```sh\n")[1:]]
+    lines = [line.split("#", 1)[0].strip() for block in blocks
+             for line in block.splitlines() if line.startswith("percograph ")]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(line.split()[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 D2_PLUGIN_CONFIG = {"d": 2, "N": [10, 20], "boundary": "torus", "p": 0.3,
@@ -207,7 +225,7 @@ def test_theory_csv_values(capsys):
 
 
 def test_theory_p0_matches_closed_form(capsys):
-    code, out, _ = _run(capsys, "theory", "--p0", "--c", "0.5",
+    code, out, _ = _run(capsys, "theory", "--d1-exact", "--p", "0", "--c", "0.5",
                         "--format", "json")
     assert code == 0
     payload = json.loads(out)
@@ -228,8 +246,8 @@ def test_theory_output_file(tmp_path, capsys):
 
 
 def test_branch_row(capsys):
-    argv = ("branch", "--p0", "--k", "1", "--c", "2.0", "--reps", "300",
-            "--seed", "8", "--max-particles", "5000")
+    argv = ("branch", "--d1-exact", "--p", "0", "--k", "1", "--c", "2.0",
+            "--reps", "300", "--seed", "8", "--max-particles", "5000")
     code, out, _ = _run(capsys, *argv)
     assert code == 0
     _, columns, rows = read_csv_text(out)
@@ -323,6 +341,24 @@ def test_invalid_config_fails_before_any_run(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+def test_config_outside_the_model_fails_before_any_run(tmp_path, capsys):
+    # a box past lattice.MAX_VERTICES, or p = 1 on the line, where the
+    # exact law does not exist: exit 2 before any replicate is drawn
+    for config, field in (({"d": 2, "N": [200, 100000], "p": 0.3, "c": [0.1],
+                            "replicates": 4}, "'N'"),
+                          ({"d": 1, "N": 2000, "p": 1.0, "c": [0.5],
+                            "replicates": 6}, "'p'")):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        code, out, err = _run(capsys, "experiment", "--config", str(path),
+                              "--out-dir", str(out_dir))
+        assert code == 2, config
+        assert out == ""
+        assert err.startswith(f"config error: field {field}: ")
+        assert not out_dir.exists()
+
+
 def test_usage_error_without_dist_choice(capsys):
     code, _, err = _run(capsys, "theory", "--d1-exact", "--c", "0.2")
     assert code == 2
@@ -330,14 +366,11 @@ def test_usage_error_without_dist_choice(capsys):
 
 
 def test_p_without_d1_exact_is_a_config_error(tmp_path, capsys):
-    # --p sets the line law only; next to --p0 or --dist it would be ignored
+    # --p sets the line law only; next to --dist it would be ignored
     law = tmp_path / "law.csv"
     law.write_text("# percograph-csv/1 cluster-dist\n# kind=table tail_mass=0.0\n"
                    "k,prob\n1,1.0\n")
-    for argv in (["theory", "--p0", "--p", "0.7", "--c", "0.5"],
-                 ["theory", "--dist", str(law), "--p", "0.7", "--c", "0.5"],
-                 ["branch", "--p0", "--p", "0.7", "--k", "1", "--c", "0.5",
-                  "--reps", "10"],
+    for argv in (["theory", "--dist", str(law), "--p", "0.7", "--c", "0.5"],
                  ["branch", "--dist", str(law), "--p", "0.3", "--k", "1",
                   "--c", "0.5", "--reps", "10"]):
         code, out, err = _run(capsys, *argv)

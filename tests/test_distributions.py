@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from percograph import exact_d1, from_empirical, from_table, point_mass, theory_point
+from percograph import exact_d1, from_empirical, from_table, theory_point
 from percograph.distributions import from_csv, to_csv
 from percograph.errors import DivergenceError, DomainError
 from percograph.lattice import Census, build_geometry, cluster_census, sample_percolation
@@ -53,7 +53,7 @@ def test_point_mass_limit():
     assert d.mean_size == 1.0
     assert d.mean_inverse_size == 1.0
     assert d.second_moment == 1.0
-    pm = point_mass(1)
+    pm = from_table([1], [1.0])
     assert pm.mean_size == 1.0
     assert float(pm.pmf(1)) == 1.0
 

@@ -91,6 +91,10 @@ _CHECK = {"metric": "c1_frac_mean", "target": 0.1, "atol": 0.01}
     ({"N": [50, 100, 50]}, "field 'N': repeated values"),
     ({"p": [0.3, 0.3]}, "field 'p': repeated values"),
     ({"c": [0.2, 0.2, 1.0]}, "field 'c': repeated values"),
+    # a box past lattice.MAX_VERTICES, and p = 1 on the line, where the
+    # exact law behind the theory columns does not exist
+    ({"d": 2, "N": [200, 100000]}, "field 'N': box with 40000400001 sites"),
+    ({"p": [0.3, 1.0]}, "field 'p': the exact line law needs p < 1"),
 ])
 def test_load_config_rejects(mutation, fragment):
     raw = {"d": 1, "N": 50, "p": 0.3, "c": 0.2}
@@ -156,8 +160,7 @@ def test_run_cell_equals_its_sweep_cell():
     cfg = _config(d=2, N=[6, 8], p=[0.3, 0.6], c=[0.05, 0.4], replicates=4,
                   estimation_replicates=3)
     for cell in sweep(cfg).cells:
-        dist = estimate_cluster_law(cfg, cell.p, cell.N)
-        alone = run_cell(cfg, cell.p, cell.c, cell.N, dist)
+        alone = run_cell(cfg, cell.p, cell.c, cell.N)
         for name in cell.samples:
             assert np.array_equal(alone.samples[name], cell.samples[name])
         assert np.array_equal(alone.per_k_mean, cell.per_k_mean)
@@ -369,8 +372,8 @@ def test_grid_step_is_the_gap_below_the_crossing(monkeypatch):
     real = experiments._run_slice
 
     def crossing_at(cross):
-        def run_slice(config, p, c_values, N=None, dist=None):
-            cells = real(config, p, c_values, N, dist)
+        def run_slice(config, p, c_values, N=None):
+            cells = real(config, p, c_values, N)
             for cell in cells:
                 cell.samples["c1_frac"] = np.full(2, 1.0 if cell.c >= cross else 0.0)
             return cells

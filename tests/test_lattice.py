@@ -1,5 +1,7 @@
 """Box geometry, bond sampling, cluster partitions."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from percograph.rng import edge_uniforms
 
 def _coords(geom, idx):
     """Lattice coordinates of flat indices, axis 0 fastest: the oracle
-    for ``vertex_index``."""
+    for ``origin_index`` and ``bond_ends``."""
     digits = np.unravel_index(idx, (geom.side,) * geom.d, order="F")
     return np.stack(digits, axis=-1) - geom.N
 
@@ -120,27 +122,10 @@ def test_geometry_validation():
         build_geometry(3, 210)  # 421^3 sites exceed the addressable limit
 
 
-@given(d=st.integers(1, 3), N=st.integers(1, 5), data=st.data())
-@settings(max_examples=50, deadline=None)
-def test_index_coord_round_trip(d, N, data):
-    geom = build_geometry(d, N, "free")
-    idx = data.draw(st.integers(0, geom.n_vertices - 1))
-    coord = _coords(geom, idx)
-    assert np.all(np.abs(coord) <= N)
-    assert int(geom.vertex_index(coord)) == idx
-
-
 def test_origin_index_is_box_center():
-    geom = build_geometry(2, 3, "torus")
-    assert np.all(_coords(geom, geom.origin_index) == 0)
-
-
-def test_coord_out_of_box_rejected():
-    geom = build_geometry(2, 3, "free")
-    with pytest.raises(DomainError):
-        geom.vertex_index([4, 0])
-    with pytest.raises(DomainError):
-        geom.vertex_index([0, -4])
+    for d, N, boundary in itertools.product((1, 2, 3), (1, 2, 5), ("free", "torus")):
+        geom = build_geometry(d, N, boundary)
+        assert np.all(_coords(geom, geom.origin_index) == 0), (d, N, boundary)
 
 
 def test_p_extremes():

@@ -15,7 +15,6 @@ from percograph import (
     exact_d1,
     from_table,
     phase_of,
-    point_mass,
     rho_of_type,
     solve_A_z,
     solve_alpha,
@@ -47,7 +46,7 @@ BETA_P05_C05 = 0.4410077373604524
 def test_critical_curve_closed_form():
     for p in np.linspace(0.05, 0.95, 19):
         assert c_critical(exact_d1(p)) == pytest.approx((1 - p) / (1 + p), abs=1e-12)
-    assert c_critical(point_mass(1)) == 1.0
+    assert c_critical(from_table([1], [1.0])) == 1.0
     assert c_critical(from_table([2], [1.0])) == 0.5
 
 
@@ -62,7 +61,7 @@ def test_phase_classification():
 
 @pytest.mark.parametrize("c,expected", sorted(BETA_PURE.items()))
 def test_beta_pure_long_range(c, expected):
-    beta = solve_beta(point_mass(1), c)
+    beta = solve_beta(from_table([1], [1.0]), c)
     assert beta == pytest.approx(expected, abs=1e-9)
     # fixed-point residual, checked directly
     assert beta == pytest.approx(1.0 - math.exp(-c * beta), abs=1e-9)
@@ -100,7 +99,7 @@ def test_rho_of_type():
 def test_alpha_pure_long_range_closed_form():
     # for the point-mass law: y = -log(c)/c and alpha = 1/(c - 1 - log c)
     for c in (0.2, 0.5, 0.8):
-        sol = solve_alpha(point_mass(1), c)
+        sol = solve_alpha(from_table([1], [1.0]), c)
         assert sol.y_root == pytest.approx(-math.log(c) / c, abs=1e-10)
         assert sol.alpha == pytest.approx(1.0 / (c - 1.0 - math.log(c)), rel=1e-9)
         assert sol.z0 == pytest.approx(math.exp(1.0 / sol.alpha), rel=1e-12)
@@ -142,12 +141,12 @@ def test_alpha_blows_up_near_critical():
 
 
 def test_beta_derivative_at_cr():
-    assert beta_derivative_at_cr(point_mass(1)) == pytest.approx(2.0, abs=1e-12)
+    assert beta_derivative_at_cr(from_table([1], [1.0])) == pytest.approx(2.0, abs=1e-12)
     assert beta_derivative_at_cr(exact_d1(0.5)) == pytest.approx(54.0 / 13.0, rel=1e-12)
 
 
 def test_beta_derivative_finite_difference():
-    for dist, slope in ((point_mass(1), 2.0), (exact_d1(0.5), 54.0 / 13.0)):
+    for dist, slope in ((from_table([1], [1.0]), 2.0), (exact_d1(0.5), 54.0 / 13.0)):
         ccr = c_critical(dist)
         eps = 1e-3
         fd = solve_beta(dist, ccr + eps) / eps
@@ -163,7 +162,7 @@ def test_series_fixed_point_matches_scalar_iteration():
         if abs(nxt - a) < 1e-13:
             break
         a = nxt
-    res = solve_A_z(point_mass(1), c, z)
+    res = solve_A_z(from_table([1], [1.0]), c, z)
     assert res.converged
     assert res.value == pytest.approx(a, abs=1e-7)
 
@@ -171,8 +170,8 @@ def test_series_fixed_point_matches_scalar_iteration():
 def test_series_converges_iff_z_below_radius():
     c = 0.5
     z0 = 2.0 * math.exp(-0.5)  # radius for the point-mass law at c = 1/2
-    assert solve_A_z(point_mass(1), c, 0.98 * z0).converged
-    div = solve_A_z(point_mass(1), c, 1.05 * z0)
+    assert solve_A_z(from_table([1], [1.0]), c, 0.98 * z0).converged
+    div = solve_A_z(from_table([1], [1.0]), c, 1.05 * z0)
     assert not div.converged
     assert div.reason == "beyond the convergence radius"
 
@@ -273,7 +272,7 @@ def laws(draw):
     if kind == "line":
         return exact_d1(draw(st.floats(0.0, 0.9)))
     if kind == "point":
-        return point_mass(draw(st.integers(1, 5)))
+        return from_table([draw(st.integers(1, 5))], [1.0])
     ks = sorted(draw(st.lists(st.integers(1, 12), min_size=1, max_size=5, unique=True)))
     weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(ks),
                                      max_size=len(ks))))
